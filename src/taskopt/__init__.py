@@ -11,7 +11,7 @@ from .crossval import FoldResult, Metrics, loso_folds, metrics, run_study, split
 from .dataset import (
     CycleProfile,
     FeatureMatrix,
-    SensorSample,
+    SampleTable,
     TaskInfo,
     TaskManifest,
     build_feature_matrix,

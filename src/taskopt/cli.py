@@ -14,13 +14,16 @@ Logs go to stderr, artifacts to the configured output directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .dataset import (
     TaskManifest,
     build_feature_matrix,
     exclude_subjects,
-    filter_samples,
     load_profiles,
     load_sensor_samples,
 )
@@ -126,15 +128,17 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _write_row_labels(labels, path: Path) -> None:
-    lines = ["subject,task,trial"]
-    lines += [f"{s},{t},{tr}" for s, t, tr in labels]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_row_labels(path: Path) -> list[tuple[str, str, str]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [tuple(line.split(",")) for line in lines[1:]]
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return [tuple(row) for row in rows[1:]]
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -144,7 +148,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _safe_name(value: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in value)
+    """A file-name part that differs for different ids (percent-encoding)."""
+    return quote(value, safe="")
 
 
 # --------------------------------------------------------------- subcommands
@@ -197,7 +202,7 @@ def cmd_ingest(cfg: RunConfig, config_path: Path) -> None:
         raise TaskOptError("no profiles left after subject exclusion")
     matrix = build_feature_matrix(kept)
     np.save(out / FEATURE_MATRIX, matrix.rows)
-    _write_row_labels(matrix.row_labels, out / ROW_LABELS)
+    _write_csv(out / ROW_LABELS, ["subject", "task", "trial"], matrix.row_labels)
     report = {
         "profiles": stats.to_dict(),
         "exclusion": exclusion.to_dict(),
@@ -252,13 +257,12 @@ def cmd_cluster(cfg: RunConfig, config_path: Path) -> None:
     scan.model.to_json(out / CLUSTER_MODEL)
     scan.write_csv(out / SILHOUETTE_SCAN)
 
-    header = "subject,task,trial," + ",".join(
-        f"pc{i + 1}" for i in range(p_star)
+    _write_csv(
+        out / PCA_SCORES,
+        ["subject", "task", "trial"] + [f"pc{i + 1}" for i in range(p_star)],
+        ([*label, *(repr(float(v)) for v in row)]
+         for label, row in zip(labels, scores)),
     )
-    lines = [header]
-    for (s, t, tr), row in zip(labels, scores):
-        lines.append(f"{s},{t},{tr}," + ",".join(repr(float(v)) for v in row))
-    (out / PCA_SCORES).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     ys = scores[:, 1] if p_star >= 2 else np.zeros(n)
     scatter_svg(
@@ -309,14 +313,13 @@ def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
     kept_subjects = set(ingest_report["exclusion"]["kept_subjects"])
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
-    samples = filter_samples(samples, keep_subjects=kept_subjects)
-    if not samples:
+    samples = samples.subset(np.isin(samples.subjects, sorted(kept_subjects)))
+    if samples.n == 0:
         raise TaskOptError("no sensor samples left after subject filtering")
 
     selected = {name: conditions[name] for name in cfg.study.conditions}
     log.info("training %d condition(s) x %d subject(s), jobs=%d",
-             len(selected), len(kept_subjects & {s.subject for s in samples}),
-             jobs)
+             len(selected), len(samples.subject_set()), jobs)
     study = run_study(
         samples, selected, cfg.nn, seed=cfg.seed,
         val_fraction=cfg.study.val_fraction, jobs=jobs,
@@ -397,7 +400,18 @@ def _stats_payload(cfg: RunConfig, folds) -> dict:
             entry["note"] = ("ANOVA not significant at alpha; pairwise "
                             "comparisons are informational only")
         payload[metric] = entry
-    return payload
+    return _null_non_finite(payload)
+
+
+def _null_non_finite(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_non_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _write_bar_chart(out: Path, name: str, metric: str, summaries,
@@ -415,12 +429,9 @@ def _write_bar_chart(out: Path, name: str, metric: str, summaries,
     unit = " (Nm/kg)" if metric == "rmse" else ""
     bar_svg(svg_path, labels, means, stds, points,
             title=f"{metric.upper()} by condition", ylabel=metric + unit)
-    lines = ["condition,mean,std,n_folds"]
-    lines += [
-        f"{c},{means[i]!r},{stds[i]!r},{summaries[c].n_folds}"
-        for i, c in enumerate(labels)
-    ]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(csv_path, ["condition", "mean", "std", "n_folds"],
+               ([c, repr(means[i]), repr(stds[i]), summaries[c].n_folds]
+                for i, c in enumerate(labels)))
     return [svg_path, csv_path]
 
 
@@ -435,12 +446,10 @@ def _write_traces(cfg: RunConfig, out: Path, folds, manifest) -> list[Path]:
     subject = anchor_folds[len(anchor_folds) // 2].left_out
 
     samples, _ = load_sensor_samples(cfg.paths.sensors, manifest)
-    samples = filter_samples(samples, keep_subjects={subject})
-    by_task: dict[str, list] = {}
-    for s in samples:
-        by_task.setdefault(s.task, []).append(s)
-    cyclic = sorted(t for t in by_task if manifest.is_cyclic(t))
-    non_cyclic = sorted(t for t in by_task if not manifest.is_cyclic(t))
+    samples = samples.subset(samples.subjects == subject)
+    tasks = sorted(set(samples.tasks))
+    cyclic = [t for t in tasks if manifest.is_cyclic(t)]
+    non_cyclic = [t for t in tasks if not manifest.is_cyclic(t)]
     chosen = cyclic[:2] + non_cyclic[:2]
 
     models = {}
@@ -454,19 +463,14 @@ def _write_traces(cfg: RunConfig, out: Path, folds, manifest) -> list[Path]:
     trace_dir.mkdir(exist_ok=True)
     written = []
     for task in chosen:
-        rows = by_task[task]
-        first_trial = sorted({s.trial for s in rows})[0]
-        trial_rows = [s for s in rows if s.trial == first_trial]
-        x = np.array([s.input for s in trial_rows])
-        preds = {cond: m.predict(x).reshape(-1) for cond, m in models.items()}
-        header = "time_s,truth," + ",".join(f"pred_{c}" for c in preds)
-        lines = [header]
-        for i, s in enumerate(trial_rows):
-            cells = [repr(float(s.time)), repr(float(s.target))]
-            cells += [repr(float(preds[c][i])) for c in preds]
-            lines.append(",".join(cells))
+        in_task = samples.tasks == task
+        first_trial = min(samples.trials[in_task])
+        trial = samples.subset(in_task & (samples.trials == first_trial))
+        preds = [m.predict(trial.x).reshape(-1) for m in models.values()]
         path = trace_dir / f"trace_{_safe_name(task)}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(path, ["time_s", "truth"] + [f"pred_{c}" for c in models],
+                   ([repr(float(v)) for v in cells]
+                    for cells in zip(trial.times, trial.y, *preds)))
         written.append(path)
     log.info("traces for subject %s, tasks %s", subject, ", ".join(chosen))
     return written
@@ -490,7 +494,8 @@ def cmd_report(cfg: RunConfig, config_path: Path) -> None:
 
     stats_payload = _stats_payload(cfg, folds)
     (out / STATS).write_text(
-        json.dumps(stats_payload, indent=2, sort_keys=True) + "\n",
+        json.dumps(stats_payload, indent=2, sort_keys=True, allow_nan=False)
+        + "\n",
         encoding="utf-8",
     )
     if "note" in stats_payload:

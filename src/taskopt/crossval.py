@@ -17,58 +17,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import SensorSample
+from .dataset import SampleTable
 from .errors import InsufficientTrialsError
 from .nn import FcnnConfig, FcnnModel, TrainHistory, train
 from .taskselect import TaskSet
-
-
-@dataclass
-class SampleTable:
-    """Column-oriented view of sensor samples (fast to filter and pickle)."""
-
-    x: np.ndarray  # (n, input_dim)
-    y: np.ndarray  # (n,)
-    subjects: np.ndarray
-    tasks: np.ndarray
-    trials: np.ndarray
-    times: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[SensorSample]) -> "SampleTable":
-        return cls(
-            x=np.array([s.input for s in samples], dtype=float).reshape(
-                len(samples), -1
-            ),
-            y=np.array([s.target for s in samples], dtype=float),
-            subjects=np.array([s.subject for s in samples], dtype=object),
-            tasks=np.array([s.task for s in samples], dtype=object),
-            trials=np.array([s.trial for s in samples], dtype=object),
-            times=np.array([s.time for s in samples], dtype=float),
-        )
-
-    @classmethod
-    def coerce(cls, samples) -> "SampleTable":
-        return samples if isinstance(samples, cls) else cls.from_samples(samples)
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    def subset(self, mask: np.ndarray) -> "SampleTable":
-        return SampleTable(
-            x=self.x[mask], y=self.y[mask], subjects=self.subjects[mask],
-            tasks=self.tasks[mask], trials=self.trials[mask], times=self.times[mask],
-        )
-
-    def trial_keys(self) -> list[tuple[str, str, str]]:
-        return sorted({
-            (str(s), str(t), str(tr))
-            for s, t, tr in zip(self.subjects, self.tasks, self.trials)
-        })
-
-    def subject_set(self) -> set[str]:
-        return {str(s) for s in self.subjects}
 
 
 @dataclass(frozen=True)
@@ -100,10 +52,11 @@ class LosoFold:
     test: SampleTable
 
 
-def loso_folds(samples, subjects: Sequence[str] | None = None) -> list[LosoFold]:
+def loso_folds(
+    samples: SampleTable, subjects: Sequence[str] | None = None
+) -> list[LosoFold]:
     """One fold per subject, each testing on that subject alone."""
-    table = SampleTable.coerce(samples)
-    found = sorted(table.subject_set())
+    found = sorted(samples.subject_set())
     if subjects is None:
         subjects = found
     else:
@@ -115,11 +68,11 @@ def loso_folds(samples, subjects: Sequence[str] | None = None) -> list[LosoFold]
         raise ValueError(f"leave-one-subject-out needs >= 2 subjects, got {len(subjects)}")
     folds = []
     for subject in subjects:
-        test_mask = table.subjects == subject
+        test_mask = samples.subjects == subject
         fold = LosoFold(
             left_out=subject,
-            train_pool=table.subset(~test_mask),
-            test=table.subset(test_mask),
+            train_pool=samples.subset(~test_mask),
+            test=samples.subset(test_mask),
         )
         if fold.train_pool.subject_set() & {subject}:
             raise RuntimeError(f"subject {subject!r} leaked into its own train pool")
@@ -128,17 +81,16 @@ def loso_folds(samples, subjects: Sequence[str] | None = None) -> list[LosoFold]
 
 
 def split_train_val(
-    pool, fraction: float = 0.8, seed: int = 0
+    pool: SampleTable, fraction: float = 0.8, seed: int = 0
 ) -> tuple[SampleTable, SampleTable]:
     """Seeded train/validation split at trial granularity.
 
     All samples of a trial land on the same side. Train size is
     floor(fraction * n_trials); the validation side is never empty.
     """
-    table = SampleTable.coerce(pool)
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    keys = table.trial_keys()
+    keys = pool.trial_keys()
     n_trials = len(keys)
     if n_trials < 2:
         raise InsufficientTrialsError(
@@ -149,9 +101,9 @@ def split_train_val(
     n_train = int(math.floor(fraction * n_trials))
     n_train = min(max(n_train, 1), n_trials - 1)
     train_keys = {keys[i] for i in order[:n_train]}
-    row_keys = list(zip(table.subjects, table.tasks, table.trials))
+    row_keys = list(zip(pool.subjects, pool.tasks, pool.trials))
     mask = np.array([k in train_keys for k in row_keys])
-    return table.subset(mask), table.subset(~mask)
+    return pool.subset(mask), pool.subset(~mask)
 
 
 @dataclass(frozen=True)
@@ -250,7 +202,7 @@ def _run_one_payload(payload):
 
 
 def run_study(
-    samples,
+    samples: SampleTable,
     conditions: Mapping[str, TaskSet],
     nn_config: FcnnConfig,
     seed: int = 0,
@@ -267,8 +219,7 @@ def run_study(
     """
     if not conditions:
         raise ValueError("no conditions to run")
-    table = SampleTable.coerce(samples)
-    folds = loso_folds(table)
+    folds = loso_folds(samples)
 
     jobs_list = []
     meta = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -233,15 +234,38 @@ class FeatureMatrix:
 
 
 @dataclass
-class SensorSample:
-    """One timestamped wearable-sensor sample with its target moment."""
+class SampleTable:
+    """Wearable-sensor rows as columns, one entry per timestamped sample.
 
-    subject: str
-    task: str
-    trial: str
-    time: float
-    input: np.ndarray  # 14 entries: angle, velocity, pelvis accel/gyro, thigh accel/gyro
-    target: float
+    Each row holds the 14 network inputs (angle, velocity, pelvis and
+    thigh accel/gyro), the target moment, and its trial's identifiers.
+    """
+
+    x: np.ndarray  # (n, SENSOR_INPUT_DIM)
+    y: np.ndarray  # (n,)
+    subjects: np.ndarray
+    tasks: np.ndarray
+    trials: np.ndarray
+    times: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
+    def subset(self, mask: np.ndarray) -> "SampleTable":
+        return SampleTable(
+            x=self.x[mask], y=self.y[mask], subjects=self.subjects[mask],
+            tasks=self.tasks[mask], trials=self.trials[mask], times=self.times[mask],
+        )
+
+    def trial_keys(self) -> list[tuple[str, str, str]]:
+        return sorted({
+            (str(s), str(t), str(tr))
+            for s, t, tr in zip(self.subjects, self.tasks, self.trials)
+        })
+
+    def subject_set(self) -> set[str]:
+        return {str(s) for s in self.subjects}
 
 
 @dataclass
@@ -493,17 +517,20 @@ def unpack_row(matrix: FeatureMatrix, i: int) -> CycleProfile:
 def load_sensor_samples(
     path: str | Path,
     manifest: TaskManifest,
-) -> tuple[list[SensorSample], IngestStats]:
-    """Load and validate wearable-sensor samples.
+) -> tuple[SampleTable, IngestStats]:
+    """Load and validate wearable-sensor samples into a :class:`SampleTable`.
 
-    Samples are grouped by (subject, task, trial) in sorted order; time
-    must be strictly increasing within each trial. Excluded-task rows
-    are dropped and counted.
+    Rows are grouped by (subject, task, trial) in sorted order and keep
+    their file order within a trial; time must be strictly increasing
+    within each trial. Excluded-task rows are dropped and counted.
     """
     path = Path(path)
     fh, reader = _open_csv(path, SENSOR_COLUMNS)
     stats = IngestStats()
-    trials: dict[tuple[str, str, str], list[SensorSample]] = {}
+    values = array("d")  # per row: time, the inputs, the target
+    row_trial = array("q")  # per row: index into trial_ids
+    trial_ids: dict[tuple[str, str, str], int] = {}
+    last_time: list[float] = []
     try:
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -518,43 +545,38 @@ def load_sensor_samples(
             if manifest[task].excluded:
                 stats.rows_excluded_task[task] += 1
                 continue
-            time = _parse_float(row[3], path, lineno, "time_s")
-            values = np.array(
-                [_parse_float(row[i], path, lineno, SENSOR_COLUMNS[i])
-                 for i in range(4, 4 + SENSOR_INPUT_DIM)]
-            )
-            target = _parse_float(row[18], path, lineno, SENSOR_COLUMNS[18])
-            group = trials.setdefault((subject, task, trial), [])
-            if group and time <= group[-1].time:
+            floats = [_parse_float(row[i], path, lineno, SENSOR_COLUMNS[i])
+                      for i in range(3, len(SENSOR_COLUMNS))]
+            key = (subject, task, trial)
+            t = trial_ids.get(key)
+            if t is None:
+                t = trial_ids[key] = len(last_time)
+                last_time.append(-math.inf)
+            if floats[0] <= last_time[t]:
                 raise DataFormatError(
                     f"{path}: line {lineno}: time_s not strictly increasing "
-                    f"within trial {(subject, task, trial)!r}"
+                    f"within trial {key!r}"
                 )
-            group.append(
-                SensorSample(subject=subject, task=task, trial=trial,
-                             time=time, input=values, target=target)
-            )
+            last_time[t] = floats[0]
+            values.extend(floats)
+            row_trial.append(t)
     finally:
         fh.close()
 
-    samples: list[SensorSample] = []
-    for key in sorted(trials):
-        samples.extend(trials[key])
-    stats.n_items = len(samples)
-    return samples, stats
+    keys = sorted(trial_ids)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[[trial_ids[k] for k in keys]] = np.arange(len(keys))
+    row_rank = rank[np.asarray(row_trial)]
+    order = np.argsort(row_rank, kind="stable")
+    per_trial = np.bincount(row_rank, minlength=len(keys))
+    flat = np.asarray(values).reshape(-1, len(SENSOR_COLUMNS) - 3)
 
+    def ids(i: int) -> np.ndarray:
+        return np.repeat(np.array([k[i] for k in keys], dtype=object), per_trial)
 
-def filter_samples(
-    samples: Sequence[SensorSample],
-    keep_tasks: set[str] | None = None,
-    keep_subjects: set[str] | None = None,
-) -> list[SensorSample]:
-    """Subset samples by task and/or subject membership."""
-    out = []
-    for s in samples:
-        if keep_tasks is not None and s.task not in keep_tasks:
-            continue
-        if keep_subjects is not None and s.subject not in keep_subjects:
-            continue
-        out.append(s)
-    return out
+    table = SampleTable(
+        x=flat[order, 1 : 1 + SENSOR_INPUT_DIM], y=flat[order, -1],
+        subjects=ids(0), tasks=ids(1), trials=ids(2), times=flat[order, 0],
+    )
+    stats.n_items = table.n
+    return table, stats

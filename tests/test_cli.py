@@ -1,10 +1,13 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from taskopt.cli import main
+from taskopt.cli import _read_row_labels, _safe_name, _stats_payload, main
+from taskopt.config import RunConfig
+from taskopt.crossval import FoldResult
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -186,3 +189,54 @@ class TestSeedOverride:
                      "--seed", "99"]) == 0
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["commands"]["ingest"]["seed"] == 99
+
+
+class TestOddIds:
+    def test_comma_in_subject_id_survives_cluster_and_select(self, tmp_path):
+        config_path, out_dir = _small_synth(tmp_path)
+        raw = json.loads(config_path.read_text())
+        odd = "s01,x"
+        for key in ("profiles", "sensors"):
+            path = Path(raw["paths"][key])
+            with path.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            for row in rows[1:]:
+                if row[0] == "s01":
+                    row[0] = odd
+            with path.open("w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        for command in ("ingest", "cluster", "select"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+        labels = _read_row_labels(out_dir / "row_labels.csv")
+        assert {s for s, _, _ in labels} == {odd, "s02", "s03", "s04"}
+        with (out_dir / "pca_scores.csv").open(newline="") as fh:
+            header, *scores = list(csv.reader(fh))
+        assert [tuple(row[:3]) for row in scores] == labels
+        assert {len(row) for row in scores} == {len(header)}
+
+    def test_safe_name_is_injective(self):
+        ids = ["a b", "a_b", "a/b", "a%20b", "a.b", "A_b"]
+        assert len({_safe_name(i) for i in ids}) == len(ids)
+        assert _safe_name("task-01_s01") == "task-01_s01"
+
+
+class TestStatsJson:
+    def test_degenerate_statistics_written_as_null(self):
+        # Every condition is constant across folds but the conditions differ,
+        # so the ANOVA F and the paired t statistics are infinite.
+        folds = [
+            FoldResult(cond, subject, rmse=value, r2=1.0 - value, n_train=8,
+                       n_val=2, n_test=4, seed=0)
+            for cond, value in (("all", 0.25), ("optimized", 0.5), ("cyclic", 0.75))
+            for subject in ("a", "b", "c")
+        ]
+        payload = _stats_payload(RunConfig(), folds)
+        text = json.dumps(payload, allow_nan=False)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        parsed = json.loads(text, parse_constant=reject)
+        assert parsed["rmse"]["anova"]["f"] is None
+        assert parsed["rmse"]["anova"]["degenerate"] is True
+        assert all(pair["t"] is None for pair in parsed["rmse"]["pairwise"])

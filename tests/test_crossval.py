@@ -11,7 +11,6 @@ from taskopt.crossval import (
     write_fold_results_csv,
     read_fold_results_csv,
 )
-from taskopt.dataset import SensorSample
 from taskopt.errors import InsufficientTrialsError
 from taskopt.nn import FcnnConfig
 from taskopt.taskselect import TaskSet
@@ -19,24 +18,21 @@ from taskopt.taskselect import TaskSet
 TARGET_WEIGHTS = np.linspace(-0.5, 0.5, 14)
 
 
-def _target(values):
-    return float(np.dot(values, TARGET_WEIGHTS))
-
-
 def make_samples(subjects, tasks, trials_per=3, samples_per=4, seed=0):
-    """Samples whose target is an exact linear function of the inputs."""
+    """A table whose target is an exact linear function of the inputs."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for subject in subjects:
-        for task in tasks:
-            for trial in range(trials_per):
-                for k in range(samples_per):
-                    values = rng.normal(size=14)
-                    samples.append(SensorSample(
-                        subject=subject, task=task, trial=f"t{trial}",
-                        time=k * 0.1, input=values, target=_target(values),
-                    ))
-    return samples
+    keys = [(s, t, f"t{trial}") for s in subjects for t in tasks
+            for trial in range(trials_per)]
+    n = len(keys) * samples_per
+    x = rng.normal(size=(n, 14))
+
+    def column(i):
+        return np.repeat(np.array([k[i] for k in keys], dtype=object), samples_per)
+
+    return SampleTable(
+        x=x, y=x @ TARGET_WEIGHTS, subjects=column(0), tasks=column(1),
+        trials=column(2), times=np.tile(np.arange(samples_per) * 0.1, len(keys)),
+    )
 
 
 class OracleModel:
@@ -70,7 +66,7 @@ class TestLosoFolds:
         for fold in loso_folds(samples):
             assert fold.test.subject_set() == {fold.left_out}
             assert fold.left_out not in fold.train_pool.subject_set()
-            assert fold.test.n + fold.train_pool.n == len(samples)
+            assert fold.test.n + fold.train_pool.n == samples.n
 
     def test_needs_two_subjects(self):
         samples = make_samples(["solo"], ["walk"])
@@ -80,9 +76,7 @@ class TestLosoFolds:
 
 class TestSplitTrainVal:
     def _pool(self, n_trials):
-        return SampleTable.coerce(
-            make_samples(["a"], ["walk"], trials_per=n_trials, samples_per=3)
-        )
+        return make_samples(["a"], ["walk"], trials_per=n_trials, samples_per=3)
 
     def test_ten_trials_split_eight_two(self):
         train, val = split_train_val(self._pool(10), fraction=0.8, seed=1)
@@ -167,7 +161,7 @@ class TestRunStudy:
                           seed=0, trainer=oracle_trainer)
         for fold in study.folds:
             # test set keeps both tasks; training pool was walk-only
-            n_per_subject = len(samples) // 2
+            n_per_subject = samples.n // 2
             assert fold.n_test == n_per_subject
             assert fold.n_train + fold.n_val == n_per_subject // 2
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import profile_rows, sensor_row, write_profile_csv, write_sensor_csv
 from taskopt.dataset import (
+    SENSOR_COLUMNS,
     DataFormatError,
     TaskInfo,
     TaskManifest,
     build_feature_matrix,
     default_task_manifest,
     exclude_subjects,
-    filter_samples,
     load_profiles,
     load_sensor_samples,
     resample_linear,
@@ -251,12 +253,14 @@ class TestExcludeSubjects:
 class TestLoadSensors:
     def test_basic(self, tmp_path, small_manifest):
         rows = [sensor_row("s1", "walk", "t1", 0.0, target=1.5),
-                sensor_row("s1", "walk", "t1", 0.1, target=1.6)]
+                sensor_row("s1", "walk", "t1", 0.1, values=[0.2] * 14, target=1.6)]
         write_sensor_csv(tmp_path / "s.csv", rows)
-        samples, stats = load_sensor_samples(tmp_path / "s.csv", small_manifest)
-        assert len(samples) == 2
-        assert samples[0].input.shape == (14,)
-        assert samples[0].target == 1.5
+        table, stats = load_sensor_samples(tmp_path / "s.csv", small_manifest)
+        assert table.n == 2
+        assert table.x.shape == (2, 14)
+        assert table.x[1].tolist() == [0.2] * 14
+        assert table.y.tolist() == [1.5, 1.6]
+        assert table.times.tolist() == [0.0, 0.1]
         assert stats.n_items == 2
 
     def test_wrong_arity(self, tmp_path, small_manifest):
@@ -271,35 +275,70 @@ class TestLoadSensors:
         rows = [sensor_row("s1", "walk", "t1", 0.2),
                 sensor_row("s1", "walk", "t1", 0.1)]
         write_sensor_csv(tmp_path / "s.csv", rows)
-        with pytest.raises(DataFormatError, match="strictly increasing"):
+        with pytest.raises(DataFormatError, match="line 3: time_s not strictly increasing"):
             load_sensor_samples(tmp_path / "s.csv", small_manifest)
+
+    def test_non_finite_value(self, tmp_path, small_manifest):
+        rows = [sensor_row("s1", "walk", "t1", 0.0),
+                sensor_row("s1", "walk", "t1", 0.1, values=[0.1] * 13 + ["inf"])]
+        write_sensor_csv(tmp_path / "s.csv", rows)
+        with pytest.raises(DataFormatError, match="line 3: non-finite value in column thigh_gz"):
+            load_sensor_samples(tmp_path / "s.csv", small_manifest)
+
+    @pytest.mark.parametrize("row, message", [
+        (sensor_row("", "walk", "t1", 0.0), "line 2: empty subject/task/trial"),
+        (sensor_row("s1", "fly", "t1", 0.0), "line 2: unknown task id 'fly'"),
+    ])
+    def test_bad_ids(self, tmp_path, small_manifest, row, message):
+        write_sensor_csv(tmp_path / "s.csv", [row])
+        with pytest.raises(DataFormatError, match=message):
+            load_sensor_samples(tmp_path / "s.csv", small_manifest)
+
+    def test_bad_header(self, tmp_path, small_manifest):
+        path = tmp_path / "s.csv"
+        path.write_text(",".join(SENSOR_COLUMNS[:-1]) + "\n")
+        with pytest.raises(DataFormatError, match="line 1: bad header"):
+            load_sensor_samples(path, small_manifest)
 
     def test_excluded_task_counted(self, tmp_path, small_manifest):
         rows = [sensor_row("s1", "walk", "t1", 0.0),
-                sensor_row("s1", "wiggle", "t1", 0.0)]
+                sensor_row("s1", "wiggle", "t1", 0.0),
+                sensor_row("s1", "wiggle", "t1", 0.1)]
         write_sensor_csv(tmp_path / "s.csv", rows)
-        samples, stats = load_sensor_samples(tmp_path / "s.csv", small_manifest)
-        assert [s.task for s in samples] == ["walk"]
-        assert stats.rows_excluded_task == {"wiggle": 1}
+        table, stats = load_sensor_samples(tmp_path / "s.csv", small_manifest)
+        assert table.tasks.tolist() == ["walk"]
+        assert stats.rows_read == 3
+        assert stats.rows_excluded_task == {"wiggle": 2}
+        assert stats.n_items == 1
 
     def test_grouped_sorted(self, tmp_path, small_manifest):
-        rows = [sensor_row("s2", "walk", "t1", 0.0),
-                sensor_row("s1", "walk", "t1", 0.0),
-                sensor_row("s1", "jump", "t1", 0.0)]
+        # Interleaved trials: grouped by sorted key, file order kept within a trial.
+        rows = [sensor_row("s2", "walk", "t1", 0.0, target=1.0),
+                sensor_row("s1", "walk", "t1", 0.0, target=2.0),
+                sensor_row("s2", "walk", "t1", 0.5, target=3.0),
+                sensor_row("s1", "jump", "t1", 0.0, target=4.0),
+                sensor_row("s1", "walk", "t1", 0.2, target=5.0)]
         write_sensor_csv(tmp_path / "s.csv", rows)
-        samples, _ = load_sensor_samples(tmp_path / "s.csv", small_manifest)
-        keys = [(s.subject, s.task, s.trial) for s in samples]
-        assert keys == sorted(keys)
+        table, _ = load_sensor_samples(tmp_path / "s.csv", small_manifest)
+        keys = list(zip(table.subjects, table.tasks, table.trials))
+        assert keys == [("s1", "jump", "t1"), ("s1", "walk", "t1"),
+                        ("s1", "walk", "t1"), ("s2", "walk", "t1"),
+                        ("s2", "walk", "t1")]
+        assert table.y.tolist() == [4.0, 2.0, 5.0, 1.0, 3.0]
+        assert table.times.tolist() == [0.0, 0.0, 0.2, 0.0, 0.5]
 
-    def test_filter_samples(self, tmp_path, small_manifest):
-        rows = [sensor_row("s1", "walk", "t1", 0.0),
-                sensor_row("s1", "jump", "t1", 0.0),
-                sensor_row("s2", "walk", "t1", 0.0)]
-        write_sensor_csv(tmp_path / "s.csv", rows)
-        samples, _ = load_sensor_samples(tmp_path / "s.csv", small_manifest)
-        only = filter_samples(samples, keep_tasks={"walk"}, keep_subjects={"s1"})
-        assert len(only) == 1
-        assert only[0].subject == "s1" and only[0].task == "walk"
+    def test_quoted_ids_kept_intact(self, tmp_path, small_manifest):
+        odd = 's01,"x"'
+        path = tmp_path / "s.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SENSOR_COLUMNS)
+            writer.writerow(sensor_row(odd, "walk", "t,1", 0.0))
+            writer.writerow(sensor_row("s02", "walk", "t1", 0.0))
+        table, _ = load_sensor_samples(path, small_manifest)
+        assert table.subjects.tolist() == [odd, "s02"]
+        assert table.trials.tolist() == ["t,1", "t1"]
+        assert table.x.shape == (2, 14)
 
 
 class TestManifest:

@@ -109,10 +109,15 @@ class TestEmittedFiles:
         manifest = TaskManifest.from_json(result.tasks_path)
         profiles, pstats = load_profiles(result.profiles_path, manifest,
                                          TINY.cycle_length)
-        samples, sstats = load_sensor_samples(result.sensors_path, manifest)
+        table, sstats = load_sensor_samples(result.sensors_path, manifest)
         assert len(profiles) == TINY.n_subjects * TINY.n_tasks * TINY.profile_trials
-        assert len(samples) == (TINY.n_subjects * TINY.n_tasks
-                                * TINY.sensor_trials * TINY.sensor_samples)
+        n = TINY.n_subjects * TINY.n_tasks * TINY.sensor_trials * TINY.sensor_samples
+        assert table.x.shape == (n, 14)
+        keys = list(zip(table.subjects, table.tasks, table.trials))
+        assert keys == sorted(keys)  # grouped by trial, trials in sorted order
+        assert len(table.trial_keys()) == (TINY.n_subjects * TINY.n_tasks
+                                           * TINY.sensor_trials)
+        assert sstats.rows_read == n and sstats.rows_excluded_task == {}
         assert pstats.rows_excluded_task == {}
         matrix = build_feature_matrix(profiles)
         assert matrix.d == 3 * TINY.cycle_length
@@ -132,10 +137,8 @@ class TestEmittedFiles:
         spec = dataclasses.replace(TINY, target_noise_std=0.0)
         result = generate(spec, tmp_path / "d")
         manifest = TaskManifest.from_json(result.tasks_path)
-        samples, _ = load_sensor_samples(result.sensors_path, manifest)
-        x = np.array([s.input for s in samples])
-        y = np.array([s.target for s in samples])
-        assert np.allclose(y, _moment_map(x), atol=1e-9)
+        table, _ = load_sensor_samples(result.sensors_path, manifest)
+        assert np.allclose(table.y, _moment_map(table.x), atol=1e-9)
 
 
 class TestSpecValidation:
