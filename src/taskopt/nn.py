@@ -12,11 +12,14 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import DataFormatError, TrainingDivergedError
+
+_PREDICT_CHUNK = 4096  # rows per eval-mode forward pass
 
 
 @dataclass(frozen=True)
@@ -84,37 +87,51 @@ class TrainHistory:
 class FcnnModel:
     """Network parameters plus batch-norm running statistics.
 
-    Parameters live in ``params`` (keys like ``"h0.W"``, ``"out.b"``)
-    and non-trained state in ``buffers`` (running mean/variance per
-    hidden layer). ``input_mean``/``input_std`` hold the z-scoring of
-    raw inputs fitted on the training fold.
+    All parameters live in one flat vector ``flat`` and the running
+    mean/variance of every hidden layer in one vector ``state``.
+    ``params`` (keys like ``"h0.W"``, ``"out.b"``) and ``buffers`` are
+    read-only mappings of named views into them, so a parameter is
+    changed by writing into its view (``params["out.b"][:] = 0``).
+    ``input_mean``/``input_std`` hold the z-scoring of raw inputs fitted
+    on the training fold.
     """
 
     def __init__(self, config: FcnnConfig):
         config.validate()
         self.config = config
-        self.mode = "train"
-        self.params: dict[str, np.ndarray] = {}
-        self.buffers: dict[str, np.ndarray] = {}
         self.input_mean = np.zeros(config.input_dim)
         self.input_std = np.ones(config.input_dim)
 
-        rng = np.random.default_rng([config.seed, 0])
         dims = [config.input_dim, *config.hidden, config.output_dim]
-        for i in range(len(config.hidden)):
-            self._init_linear(rng, f"h{i}", dims[i], dims[i + 1])
-            width = dims[i + 1]
-            self.params[f"h{i}.gamma"] = np.ones(width)
-            self.params[f"h{i}.beta"] = np.zeros(width)
-            self.buffers[f"h{i}.running_mean"] = np.zeros(width)
-            self.buffers[f"h{i}.running_var"] = np.ones(width)
-        self._init_linear(rng, "out", dims[-2], dims[-1])
+        names = [f"h{i}" for i in range(len(config.hidden))] + ["out"]
+        self._shapes, self._state_shapes = {}, {}  # name -> shape, in vector order
+        for name, fan_in, fan_out in zip(names, dims, dims[1:]):
+            self._shapes |= {f"{name}.W": (fan_in, fan_out), f"{name}.b": (fan_out,)}
+            if name != "out":
+                self._shapes |= {f"{name}.gamma": (fan_out,), f"{name}.beta": (fan_out,)}
+                self._state_shapes |= {f"{name}.running_mean": (fan_out,),
+                                       f"{name}.running_var": (fan_out,)}
+        self.flat = np.ones(sum(map(math.prod, self._shapes.values())))
+        self.state = np.ones(sum(map(math.prod, self._state_shapes.values())))
+        self.params = MappingProxyType(_views(self.flat, self._shapes))
+        self.buffers = MappingProxyType(_views(self.state, self._state_shapes))
 
-    def _init_linear(self, rng: np.random.Generator, name: str,
-                     fan_in: int, fan_out: int) -> None:
-        bound = 1.0 / math.sqrt(fan_in)
-        self.params[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        self.params[f"{name}.b"] = rng.uniform(-bound, bound, size=fan_out)
+        # gamma and running_var keep their 1; the draw order is fixed
+        # (h0.W, h0.b, h1.W, ..., out.b) so a seed gives the same network.
+        rng = np.random.default_rng([config.seed, 0])
+        for name, fan_in in zip(names, dims):
+            bound = 1.0 / math.sqrt(fan_in)
+            for key in (f"{name}.W", f"{name}.b"):
+                self.params[key][...] = rng.uniform(-bound, bound,
+                                                    size=self._shapes[key])
+            if name != "out":
+                self.params[f"{name}.beta"][:] = 0.0
+                self.buffers[f"{name}.running_mean"][:] = 0.0
+
+    def __reduce__(self):
+        # Rebuild through the checkpoint format so that the copy's
+        # ``params`` are views into its own ``flat`` again.
+        return FcnnModel.from_dict, (self.to_dict(),)
 
     @property
     def n_hidden(self) -> int:
@@ -140,23 +157,28 @@ class FcnnModel:
     def _forward_train(
         self, x: np.ndarray, masks: Sequence[np.ndarray] | None
     ) -> tuple[np.ndarray, dict]:
-        """Training-mode forward returning the cache backward() needs.
+        """Training-mode forward returning the cache the backward pass needs.
 
-        Does not touch the running statistics; the training loop applies
-        them from the cache so that gradient evaluation stays pure.
+        Does not touch the running statistics: the batch mean and
+        variance go into ``cache["stats"]``, laid out like ``state``, and
+        the training loop folds them in so that gradient evaluation stays
+        pure.
         """
         if x.shape[0] < 2:
             raise ValueError("training-mode forward needs a batch of at least 2")
         eps = self.config.bn_eps
         keep = 1.0 - self.config.dropout_rate
+        stats = np.empty_like(self.state)
+        batch_stats = _views(stats, self._state_shapes)
         a = self._normalize(x)
-        cache: dict = {"layers": [], "x_norm": a}
+        cache: dict = {"layers": [], "stats": stats}
         for i in range(self.n_hidden):
             z = a @ self.params[f"h{i}.W"] + self.params[f"h{i}.b"]
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
+            mu = np.mean(z, axis=0, out=batch_stats[f"h{i}.running_mean"])
+            zc = z - mu
+            var = np.mean(zc * zc, axis=0, out=batch_stats[f"h{i}.running_var"])
             invstd = 1.0 / np.sqrt(var + eps)
-            zhat = (z - mu) * invstd
+            zhat = zc * invstd
             bn_out = self.params[f"h{i}.gamma"] * zhat + self.params[f"h{i}.beta"]
             r = np.maximum(bn_out, 0.0)
             if self.config.dropout_rate > 0.0:
@@ -166,8 +188,8 @@ class FcnnModel:
                 mask = None
                 out = r
             cache["layers"].append({
-                "a_in": a, "mu": mu, "var": var, "invstd": invstd,
-                "zhat": zhat, "bn_out": bn_out, "mask": mask,
+                "a_in": a, "invstd": invstd, "zhat": zhat, "bn_out": bn_out,
+                "mask": mask,
             })
             a = out
         cache["a_last"] = a
@@ -181,68 +203,24 @@ class FcnnModel:
         keep = 1.0 - self.config.dropout_rate
         return [rng.random((batch_size, h)) < keep for h in self.config.hidden]
 
-    def forward(
-        self,
-        x: np.ndarray,
-        mode: str | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Run the network on a batch.
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode predictions, chunked to bound memory.
 
-        Train mode uses batch statistics, applies dropout (consuming
-        ``rng``), and updates the running statistics; eval mode is a
-        pure deterministic function of the input.
+        A pure function of the input: it draws no random numbers and
+        leaves the running statistics alone.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(f"expected batch of shape (b, {self.config.input_dim})")
         if x.shape[0] == 0:
             raise ValueError("empty batch")
-        mode = mode or self.mode
-        if mode == "eval":
-            pred = self._forward_eval(x)
-        elif mode == "train":
-            if self.config.dropout_rate > 0.0 and rng is None:
-                raise ValueError("train-mode forward with dropout needs an rng")
-            masks = self.draw_dropout_masks(x.shape[0], rng) if rng is not None else None
-            pred, cache = self._forward_train(x, masks)
-            self._update_running_stats(cache)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        pred = np.concatenate([self._forward_eval(x[i : i + _PREDICT_CHUNK])
+                               for i in range(0, x.shape[0], _PREDICT_CHUNK)])
         if not np.all(np.isfinite(pred)):
             raise TrainingDivergedError("non-finite activations in forward pass")
         return pred
 
-    def _update_running_stats(self, cache: dict) -> None:
-        m = self.config.bn_momentum
-        for i, layer in enumerate(cache["layers"]):
-            rm = self.buffers[f"h{i}.running_mean"]
-            rv = self.buffers[f"h{i}.running_var"]
-            rm *= 1.0 - m
-            rm += m * layer["mu"]
-            rv *= 1.0 - m
-            rv += m * layer["var"]
-
-    def predict(self, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        """Eval-mode predictions, chunked to bound memory."""
-        x = np.asarray(x, dtype=float)
-        outputs = [self._forward_eval(x[i : i + chunk])
-                   for i in range(0, x.shape[0], chunk)]
-        return np.concatenate(outputs, axis=0)
-
     # ------------------------------------------------------------- state I/O
-
-    def snapshot(self) -> dict:
-        return {
-            "params": {k: v.copy() for k, v in self.params.items()},
-            "buffers": {k: v.copy() for k, v in self.buffers.items()},
-        }
-
-    def restore(self, snap: dict) -> None:
-        for k, v in snap["params"].items():
-            self.params[k] = v.copy()
-        for k, v in snap["buffers"].items():
-            self.buffers[k] = v.copy()
 
     def to_dict(self) -> dict:
         return {
@@ -255,16 +233,30 @@ class FcnnModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FcnnModel":
-        cfg_raw = dict(raw["config"])
-        cfg_raw["hidden"] = tuple(cfg_raw["hidden"])
-        model = cls(FcnnConfig(**cfg_raw))
-        for k, v in raw["params"].items():
-            model.params[k] = np.array(v, dtype=float)
-        for k, v in raw["buffers"].items():
-            model.buffers[k] = np.array(v, dtype=float)
-        model.input_mean = np.array(raw["input_mean"], dtype=float)
-        model.input_std = np.array(raw["input_std"], dtype=float)
-        model.mode = "eval"
+        """Rebuild a model from ``to_dict`` output.
+
+        Every parameter and buffer of the config must be present with its
+        exact shape, and nothing else; otherwise DataFormatError.
+        """
+        try:
+            cfg_raw = dict(raw["config"])
+            cfg_raw["hidden"] = tuple(cfg_raw["hidden"])
+            model = cls(FcnnConfig(**cfg_raw))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad network config: {exc!r}") from exc
+        for section, views in (("params", model.params), ("buffers", model.buffers)):
+            given = raw.get(section)
+            if not isinstance(given, dict):
+                raise DataFormatError(f"{section} is not an object")
+            if given.keys() != views.keys():
+                raise DataFormatError(
+                    f"{section}: missing {sorted(views.keys() - given.keys())}, "
+                    f"unexpected {sorted(given.keys() - views.keys())}")
+            for k, view in views.items():
+                view[...] = _exact_array(given[k], view.shape, f"{section}[{k!r}]")
+        dim = (model.config.input_dim,)
+        model.input_mean = _exact_array(raw.get("input_mean"), dim, "input_mean")
+        model.input_std = _exact_array(raw.get("input_std"), dim, "input_std")
         return model
 
     def save(self, path: str | Path) -> None:
@@ -273,7 +265,30 @@ class FcnnModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "FcnnModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (json.JSONDecodeError, DataFormatError) as exc:
+            raise DataFormatError(f"{path}: not a valid checkpoint: {exc}") from exc
+
+
+def _views(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive slices of ``vec``, one per name, reshaped to its shape."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = vec[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def _exact_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{what} is not numeric: {exc}") from exc
+    if arr.shape != shape:
+        raise DataFormatError(f"{what} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -287,42 +302,40 @@ def loss_and_gradients(
     x: np.ndarray,
     y: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch MSE and its exact gradients w.r.t. every parameter.
 
-    Dropout masks can be passed explicitly so the same loss surface can
-    be re-evaluated (finite-difference checks); otherwise they are
-    drawn from ``rng``. Running statistics are not modified.
+    The gradients are named views into one vector laid out like
+    ``model.flat``. With dropout active the masks must be passed, so the
+    same loss surface can be re-evaluated (finite-difference checks).
+    Running statistics are not modified.
     """
-    loss, grads, _ = _loss_grads_cache(model, x, y, masks=masks, rng=rng)
-    return loss, grads
+    loss, grad, _ = _loss_grads_cache(model, x, y, masks)
+    return loss, _views(grad, model._shapes)
 
 
 def _loss_grads_cache(
     model: FcnnModel,
     x: np.ndarray,
     y: np.ndarray,
-    masks: Sequence[np.ndarray] | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray], dict]:
+    masks: Sequence[np.ndarray] | None,
+) -> tuple[float, np.ndarray, dict]:
+    """Loss, the flat gradient vector and the forward cache."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1, model.config.output_dim)
     b = x.shape[0]
     if model.config.dropout_rate > 0.0 and masks is None:
-        if rng is None:
-            raise ValueError("dropout is active: pass masks or an rng")
-        masks = model.draw_dropout_masks(b, rng)
+        raise ValueError("dropout is active: pass the dropout masks")
 
     pred, cache = model._forward_train(x, masks)
     diff = pred - y
     loss = float(np.mean(diff**2))
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.empty_like(model.flat)
+    grads = _views(grad, model._shapes)
     dpred = 2.0 * diff / diff.size
-    a_last = cache["a_last"]
-    grads["out.W"] = a_last.T @ dpred
-    grads["out.b"] = dpred.sum(axis=0)
+    np.matmul(cache["a_last"].T, dpred, out=grads["out.W"])
+    dpred.sum(axis=0, out=grads["out.b"])
     da = dpred @ model.params["out.W"].T
 
     keep = 1.0 - model.config.dropout_rate
@@ -334,44 +347,17 @@ def _loss_grads_cache(
             dr = da
         dbn = dr * (layer["bn_out"] > 0.0)
         zhat = layer["zhat"]
-        grads[f"h{i}.gamma"] = (dbn * zhat).sum(axis=0)
-        grads[f"h{i}.beta"] = dbn.sum(axis=0)
+        (dbn * zhat).sum(axis=0, out=grads[f"h{i}.gamma"])
+        dbn.sum(axis=0, out=grads[f"h{i}.beta"])
         dzhat = dbn * model.params[f"h{i}.gamma"]
         # Batch-norm backward including the batch-statistics terms.
         dz = (layer["invstd"] / b) * (
             b * dzhat - dzhat.sum(axis=0) - zhat * (dzhat * zhat).sum(axis=0)
         )
-        a_in = layer["a_in"]
-        grads[f"h{i}.W"] = a_in.T @ dz
-        grads[f"h{i}.b"] = dz.sum(axis=0)
+        np.matmul(layer["a_in"].T, dz, out=grads[f"h{i}.W"])
+        dz.sum(axis=0, out=grads[f"h{i}.b"])
         da = dz @ model.params[f"h{i}.W"].T
-    return loss, grads, cache
-
-
-class _Adam:
-    """Adam with bias correction over a named parameter dict."""
-
-    def __init__(self, params: dict[str, np.ndarray], config: FcnnConfig):
-        self.config = config
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.t = 0
-
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray]) -> None:
-        cfg = self.config
-        self.t += 1
-        bias1 = 1.0 - cfg.beta1**self.t
-        bias2 = 1.0 - cfg.beta2**self.t
-        for k, g in grads.items():
-            m = self.m[k]
-            v = self.v[k]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g**2
-            params[k] -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2)
-                                                            + cfg.adam_eps)
+    return loss, grad, cache
 
 
 def _make_batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -415,10 +401,14 @@ def train(
         model.input_std = std
 
     rng = np.random.default_rng([config.seed, 1])
-    optimizer = _Adam(model.params, config)
+    flat, state = model.flat, model.state
+    m = np.zeros_like(flat)  # Adam moments (Kingma & Ba 2015)
+    v = np.zeros_like(flat)
+    momentum = model.config.bn_momentum
     history = TrainHistory()
-    best_snapshot = model.snapshot()
+    best = (flat.copy(), state.copy())
     epochs_since_best = 0
+    step = 0
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
@@ -427,14 +417,24 @@ def train(
             xb = x_train[batch_idx]
             yb = y_train[batch_idx]
             masks = model.draw_dropout_masks(xb.shape[0], rng)
-            loss, grads, cache = _loss_grads_cache(model, xb, yb, masks=masks)
+            loss, g, cache = _loss_grads_cache(model, xb, yb, masks)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}"
                 )
-            model._update_running_stats(cache)
+            state *= 1.0 - momentum
+            state += momentum * cache["stats"]
             epoch_losses.append(loss)
-            optimizer.step(model.params, grads)
+
+            step += 1
+            bias1 = 1.0 - config.beta1**step
+            bias2 = 1.0 - config.beta2**step
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            v *= config.beta2
+            v += (1.0 - config.beta2) * g**2
+            flat -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2)
+                                                          + config.adam_eps)
 
         val_mse = mse(model.predict(x_val), y_val)
         if not math.isfinite(val_mse):
@@ -445,7 +445,7 @@ def train(
         if val_mse < history.best_val_mse:
             history.best_val_mse = val_mse
             history.best_epoch = epoch
-            best_snapshot = model.snapshot()
+            best = (flat.copy(), state.copy())
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -453,6 +453,5 @@ def train(
                 history.stopped_early = True
                 break
 
-    model.restore(best_snapshot)
-    model.mode = "eval"
+    flat[:], state[:] = best
     return model, history

@@ -169,6 +169,22 @@ class TestIdempotency:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
+class TestMalformedCheckpoint:
+    def test_report_rejects_checkpoint_without_output_bias(self, tmp_path,
+                                                           caplog):
+        config_path, out_dir = _small_synth(tmp_path)
+        for command in ("ingest", "cluster", "select", "train"):
+            assert main([command, "--config", str(config_path)]) == 0
+        for path in (out_dir / "checkpoints").glob("model_optimized_*.json"):
+            raw = json.loads(path.read_text())
+            del raw["params"]["out.b"]
+            path.write_text(json.dumps(raw))
+        assert main(["report", "--config", str(config_path)]) == 2
+        assert "unexpected failure" not in caplog.text
+        assert "out.b" in caplog.text
+        assert "checkpoints" in caplog.text and "model_optimized_" in caplog.text
+
+
 class TestSingleCondition:
     def test_stats_note_for_single_condition(self, tmp_path, caplog):
         config_path, out_dir = _small_synth(tmp_path)

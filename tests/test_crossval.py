@@ -4,6 +4,7 @@ import pytest
 from taskopt.crossval import (
     SampleTable,
     aligned_fold_metric,
+    fcnn_trainer,
     loso_folds,
     metrics,
     run_study,
@@ -205,6 +206,23 @@ class TestRunStudy:
         parallel = run_study(samples, conditions, FcnnConfig(), seed=4,
                              trainer=oracle_trainer, jobs=2)
         assert serial.folds == parallel.folds
+
+    def test_parallel_matches_serial_real_network(self):
+        config = FcnnConfig(input_dim=14, hidden=(8, 8), batch_size=16,
+                            max_epochs=2, patience=2, seed=0)
+        samples = make_samples(["a", "b", "c"], ["walk", "jump"], samples_per=6,
+                               seed=5)
+        conditions = {
+            "all": TaskSet("all", ("jump", "walk"), "test"),
+            "cyclic": TaskSet("cyclic", ("walk",), "test"),
+        }
+        serial = run_study(samples, conditions, config, seed=4,
+                           trainer=fcnn_trainer, jobs=1)
+        parallel = run_study(samples, conditions, config, seed=4,
+                             trainer=fcnn_trainer, jobs=2)
+        assert len(serial.folds) == 6
+        assert serial.folds == parallel.folds
+        assert serial.checkpoints == parallel.checkpoints
 
     def test_real_trainer_smoke(self):
         # Tiny end-to-end training run through the default trainer.

@@ -1,13 +1,15 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
-from taskopt.errors import TrainingDivergedError
+from taskopt.errors import DataFormatError, TrainingDivergedError
 from taskopt.nn import (
     FcnnConfig,
     FcnnModel,
     _make_batches,
+    _views,
     loss_and_gradients,
     mse,
     train,
@@ -42,12 +44,58 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
+class ReferenceAdam:
+    """The per-parameter Adam loop (Kingma & Ba 2015) that train() once ran
+    over the named parameter dict; train() must match it bit for bit."""
+
+    def __init__(self, params, config):
+        self.config = config
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, params, grads):
+        cfg = self.config
+        self.t += 1
+        bias1 = 1.0 - cfg.beta1**self.t
+        bias2 = 1.0 - cfg.beta2**self.t
+        for k, g in grads.items():
+            m = self.m[k]
+            v = self.v[k]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g**2
+            p = params[k]
+            p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2)
+                                                    + cfg.adam_eps)
+
+
+def reference_epochs(config, x, y):
+    """train()'s batches and masks stepped by ReferenceAdam; ``flat`` per epoch."""
+    model = FcnnModel(config)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    model.input_mean = x.mean(axis=0)
+    model.input_std = std
+    rng = np.random.default_rng([config.seed, 1])
+    optimizer = ReferenceAdam(model.params, config)
+    flats = []
+    for _ in range(config.max_epochs):
+        for batch in _make_batches(rng.permutation(len(x)), config.batch_size):
+            masks = model.draw_dropout_masks(batch.size, rng)
+            _, grads = loss_and_gradients(model, x[batch], y[batch], masks=masks)
+            optimizer.step(model.params, grads)
+        flats.append(model.flat.copy())
+    return flats
+
+
 class TestForward:
     def test_eval_deterministic(self):
         model = FcnnModel(FcnnConfig(input_dim=4, hidden=(6, 5), seed=3))
         x = np.random.default_rng(0).normal(size=(7, 4))
-        a = model.forward(x, mode="eval")
-        b = model.forward(x, mode="eval")
+        a = model.predict(x)
+        b = model.predict(x)
         assert np.array_equal(a, b)
 
     def test_reduces_to_plain_mlp_at_identity_batchnorm(self):
@@ -59,7 +107,7 @@ class TestForward:
         for i in range(2):
             model.params[f"h{i}.b"][:] = 0.0
         model.params["out.b"][:] = 0.0
-        out = model.forward(np.zeros((2, 3)), mode="eval")
+        out = model.predict(np.zeros((2, 3)))
         assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_train_mode_batch_statistics(self):
@@ -69,8 +117,8 @@ class TestForward:
                             bn_eps=1e-12, seed=2)
         model = FcnnModel(config)
         rng = np.random.default_rng(5)
-        model.params["h0.gamma"] = rng.uniform(0.5, 2.0, size=8)
-        model.params["h0.beta"] = rng.normal(size=8)
+        model.params["h0.gamma"][:] = rng.uniform(0.5, 2.0, size=8)
+        model.params["h0.beta"][:] = rng.normal(size=8)
         x = rng.normal(size=(64, 5))
         _, cache = model._forward_train(x, None)
         bn_out = cache["layers"][0]["bn_out"]
@@ -79,38 +127,62 @@ class TestForward:
         assert np.allclose(bn_out.var(axis=0), model.params["h0.gamma"] ** 2,
                            atol=1e-6)
 
+    def test_batch_variance_from_centred_values_is_exact(self):
+        # The forward pass computes the variance from the already-centred
+        # z - mu; it must equal numpy's z.var(axis=0) bit for bit.
+        model = FcnnModel(FcnnConfig(input_dim=6, hidden=(9, 7), dropout_rate=0.0,
+                                     seed=4))
+        rng = np.random.default_rng(6)
+        for rows in (2, 3, 64, 65):
+            x = rng.normal(rng.normal(), rng.uniform(0.1, 50.0), size=(rows, 6))
+            _, cache = model._forward_train(x, None)
+            stats = _views(cache["stats"], model._state_shapes)
+            for i, layer in enumerate(cache["layers"]):
+                z = layer["a_in"] @ model.params[f"h{i}.W"] + model.params[f"h{i}.b"]
+                assert stats[f"h{i}.running_mean"].tobytes() == \
+                    z.mean(axis=0).tobytes()
+                assert stats[f"h{i}.running_var"].tobytes() == \
+                    z.var(axis=0).tobytes()
+
     def test_train_mode_needs_two_rows(self):
         model = FcnnModel(FcnnConfig(input_dim=2, hidden=(3,), seed=0))
-        rng = np.random.default_rng(0)
+        masks = model.draw_dropout_masks(1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 2"):
-            model.forward(np.zeros((1, 2)), mode="train", rng=rng)
+            loss_and_gradients(model, np.zeros((1, 2)), np.zeros(1), masks=masks)
 
-    def test_train_mode_with_dropout_needs_rng(self):
+    def test_train_mode_with_dropout_needs_masks(self):
         model = FcnnModel(FcnnConfig(input_dim=2, hidden=(3,), seed=0))
-        with pytest.raises(ValueError, match="rng"):
-            model.forward(np.zeros((4, 2)), mode="train")
+        with pytest.raises(ValueError, match="masks"):
+            loss_and_gradients(model, np.zeros((4, 2)), np.zeros(4))
 
     def test_empty_batch_rejected(self):
         model = FcnnModel(FcnnConfig(input_dim=2, hidden=(3,), seed=0))
         with pytest.raises(ValueError, match="empty"):
-            model.forward(np.zeros((0, 2)), mode="eval")
+            model.predict(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,)])
+    def test_wrong_input_shape_rejected(self, shape):
+        model = FcnnModel(FcnnConfig(input_dim=2, hidden=(3,), seed=0))
+        with pytest.raises(ValueError, match="shape"):
+            model.predict(np.zeros(shape))
 
     def test_eval_consumes_no_rng_and_mutates_nothing(self):
         model = FcnnModel(FcnnConfig(input_dim=3, hidden=(4,), seed=1))
-        rng = np.random.default_rng(9)
-        state_before = copy.deepcopy(rng.bit_generator.state)
-        buffers_before = {k: v.copy() for k, v in model.buffers.items()}
-        model.forward(np.ones((3, 3)), mode="eval", rng=rng)
-        assert rng.bit_generator.state == state_before
-        for k, v in model.buffers.items():
-            assert np.array_equal(v, buffers_before[k])
+        global_before = copy.deepcopy(np.random.get_state())
+        flat_before = model.flat.copy()
+        state_before = model.state.copy()
+        model.predict(np.ones((3, 3)))
+        after = np.random.get_state()
+        assert all(np.array_equal(a, b) for a, b in zip(after, global_before))
+        assert np.array_equal(model.flat, flat_before)
+        assert np.array_equal(model.state, state_before)
 
     def test_non_finite_activation_detected(self):
         model = FcnnModel(FcnnConfig(input_dim=2, hidden=(3,), seed=0))
         model.params["out.W"][:] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(TrainingDivergedError, match="non-finite"):
-            model.forward(np.ones((2, 2)), mode="eval")
+            model.predict(np.ones((2, 2)))
 
 
 class TestGradients:
@@ -230,6 +302,22 @@ class TestTraining:
         restored_val = mse(model.predict(x[60:]), y[60:])
         assert restored_val == pytest.approx(history.best_val_mse, rel=1e-12)
 
+    def test_restores_parameters_and_running_statistics_of_best_epoch(self):
+        config = FcnnConfig(input_dim=2, hidden=(6,), dropout_rate=0.1,
+                            learning_rate=0.03, max_epochs=15, patience=15,
+                            batch_size=16, seed=2)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(80, 2))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=80)
+        data = ((x[:60], y[:60]), (x[60:], y[60:]))
+        model, history = train(FcnnModel(config), *data, config)
+        assert 1 < history.best_epoch < len(history.records)
+        short = dataclasses_replace(config, max_epochs=history.best_epoch,
+                                    patience=history.best_epoch)
+        reference, _ = train(FcnnModel(short), *data, short)
+        assert model.flat.tobytes() == reference.flat.tobytes()
+        assert model.state.tobytes() == reference.state.tobytes()
+
     def test_training_bit_reproducible(self):
         config = FcnnConfig(input_dim=3, hidden=(5,), dropout_rate=0.2,
                             max_epochs=5, patience=5, batch_size=16, seed=7)
@@ -244,6 +332,19 @@ class TestTraining:
             assert m1.params[key].tobytes() == m2.params[key].tobytes()
         assert [(r.train_mse, r.val_mse) for r in h1.records] == \
             [(r.train_mse, r.val_mse) for r in h2.records]
+
+    def test_flat_adam_matches_per_parameter_reference(self):
+        config = FcnnConfig(input_dim=3, hidden=(6, 5), dropout_rate=0.2,
+                            learning_rate=0.01, max_epochs=4, patience=4,
+                            batch_size=16, seed=8)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(70, 3))
+        y = x @ np.array([1.0, -2.0, 0.5])
+        model, history = train(FcnnModel(config), (x[:56], y[:56]),
+                               (x[56:], y[56:]), config)
+        flats = reference_epochs(config, x[:56], y[:56])
+        assert history.best_epoch == 4
+        assert model.flat.tobytes() == flats[history.best_epoch - 1].tobytes()
 
     def test_divergence_raises(self):
         config = FcnnConfig(input_dim=2, hidden=(3,), dropout_rate=0.0,
@@ -295,6 +396,44 @@ class TestCheckpoint:
         assert np.array_equal(back.predict(x), model.predict(x))
         for key in model.params:
             assert back.params[key].tobytes() == model.params[key].tobytes()
+
+
+    def test_pickle_and_deepcopy_keep_views(self):
+        config = FcnnConfig(input_dim=3, hidden=(4, 4), seed=9)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(32, 3))
+        y = rng.normal(size=32)
+        model, _ = train(FcnnModel(config), (x[:24], y[:24]), (x[24:], y[24:]),
+                         dataclasses_replace(config, max_epochs=2, patience=2))
+        for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert np.shares_memory(twin.params["out.W"], twin.flat)
+            assert np.shares_memory(twin.buffers["h1.running_var"], twin.state)
+            assert not np.shares_memory(twin.flat, model.flat)
+            assert twin.predict(x).tobytes() == model.predict(x).tobytes()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw["params"].pop("out.b"),
+        lambda raw: raw["params"].update({"out.b": [0.1, 0.2]}),
+        lambda raw: raw["params"].update({"h0.W": np.zeros((4, 3)).tolist()}),
+        lambda raw: raw["params"].update({"extra.W": [1.0]}),
+        lambda raw: raw["buffers"].pop("h1.running_mean"),
+        lambda raw: raw["params"].update({"h0.b": ["a", "b", "c", "d"]}),
+        lambda raw: raw.update({"input_mean": [0.0, 0.0]}),
+        lambda raw: raw.pop("input_std"),
+        lambda raw: raw["config"].update({"hidden": [4, 0]}),
+    ], ids=["missing", "broadcastable", "transposed", "extra", "missing-buffer",
+            "non-numeric", "input-mean-length", "no-input-std", "bad-config"])
+    def test_malformed_checkpoint_rejected(self, corrupt):
+        raw = FcnnModel(FcnnConfig(input_dim=3, hidden=(4, 4), seed=9)).to_dict()
+        corrupt(raw)
+        with pytest.raises(DataFormatError):
+            FcnnModel.from_dict(raw)
+
+    def test_invalid_json_named_in_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="model.json"):
+            FcnnModel.load(path)
 
 
 class TestConfig:
