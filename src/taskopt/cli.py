@@ -44,7 +44,7 @@ from .dataset import (
     load_profiles,
     load_sensor_samples,
 )
-from .errors import ConfigError, MissingArtifactError, TaskOptError
+from .errors import ConfigError, DataFormatError, MissingArtifactError, TaskOptError
 from .nn import FcnnModel
 from .pca import pca_fit, pca_transform, select_components
 from .plots import bar_svg, scatter_svg
@@ -314,10 +314,14 @@ def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
     samples = samples.subset(np.isin(samples.subjects, sorted(kept_subjects)))
-    if samples.n == 0:
-        raise TaskOptError("no sensor samples left after subject filtering")
-
     selected = {name: conditions[name] for name in cfg.study.conditions}
+    for name, task_set in selected.items():
+        # With >= 2 such subjects, no fold's train pool is empty.
+        n = len(set(samples.subjects[np.isin(samples.tasks, task_set.tasks)]))
+        if n < 2:
+            raise DataFormatError(
+                f"{cfg.paths.sensors}: condition {name!r} has sensor rows of its "
+                f"tasks for {n} kept subject(s); leave-one-subject-out needs >= 2")
     log.info("training %d condition(s) x %d subject(s), jobs=%d",
              len(selected), len(samples.subject_set()), jobs)
     study = run_study(
@@ -457,7 +461,10 @@ def _write_traces(cfg: RunConfig, out: Path, folds, manifest) -> list[Path]:
         path = out / "checkpoints" / \
             f"model_{_safe_name(cond)}_{_safe_name(subject)}.json"
         if path.exists():
-            models[cond] = FcnnModel.load(path)
+            model = models[cond] = FcnnModel.load(path)
+            if model.config.input_dim != samples.x.shape[1]:
+                raise DataFormatError(f"{path}: input_dim {model.config.input_dim} "
+                                      f"!= {samples.x.shape[1]} sensor columns")
 
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)

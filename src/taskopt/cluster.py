@@ -19,11 +19,7 @@ import numpy as np
 
 @dataclass
 class ClusterModel:
-    """A fitted k-means partition and its quality scores.
-
-    ``silhouette`` is None when fewer than 3 points were clustered
-    (the coefficient is undefined there).
-    """
+    """A fitted k-means partition; ``select_k`` sets ``silhouette``, ``kmeans`` leaves it None."""
 
     k: int
     centroids: np.ndarray
@@ -58,13 +54,19 @@ class ClusterModel:
 
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clamped at zero."""
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    """Pairwise squared Euclidean distances, clamped at zero, in one buffer."""
+    d2 = (2.0 * points) @ centers.T
+    np.subtract(np.sum(points**2, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(centers**2, axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _distances(points: np.ndarray) -> np.ndarray:
+    """The n x n Euclidean distance matrix, with an exact zero diagonal."""
+    dists = _sq_distances(points, points)
+    np.sqrt(dists, out=dists)
+    np.fill_diagonal(dists, 0.0)  # the Gram form leaves ~1e-6 there
+    return dists
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,13 +171,12 @@ def kmeans(
             best_state = (assign, centers, inertia, history)
 
     assign, centers, inertia, history = best_state
-    sil = silhouette_score(points, assign) if n >= 3 else None
     return ClusterModel(
         k=k,
         centroids=centers,
         assignments=assign,
         inertia=inertia,
-        silhouette=sil,
+        silhouette=None,
         inertia_history=history,
     )
 
@@ -194,27 +195,27 @@ def silhouette_score(scores: np.ndarray, assignments: Sequence[int] | np.ndarray
         raise ValueError(f"silhouette needs at least 3 points, got {n}")
     if labels.shape[0] != n:
         raise ValueError("assignments length does not match scores")
-    unique = np.unique(labels)
-    if unique.size < 2:
+    if np.unique(labels).size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
+    return _silhouette(_distances(points), labels)
 
-    dists = np.sqrt(_sq_distances(points, points))
-    sizes = {int(c): int(np.sum(labels == c)) for c in unique}
-    masks = {int(c): labels == c for c in unique}
 
-    total = 0.0
-    for i in range(n):
-        own = int(labels[i])
-        if sizes[own] == 1:
-            continue  # convention: singletons contribute 0
-        a = dists[i, masks[own]].sum() / (sizes[own] - 1)
-        b = min(
-            dists[i, masks[c]].mean() for c in sizes if c != own
-        )
-        denom = max(a, b)
-        if denom > 0.0:
-            total += (b - a) / denom
-    return total / n
+def _silhouette(dists: np.ndarray, labels: np.ndarray) -> float:
+    """``silhouette_score`` from a precomputed distance matrix."""
+    _, codes = np.unique(labels, return_inverse=True)
+    rows = np.arange(codes.size)
+    sizes = np.bincount(codes)
+    sums = dists @ np.eye(sizes.size)[codes]  # [i, c]: summed distance from i to c
+    own = sizes[codes]
+    a = sums[rows, codes] / np.maximum(own - 1, 1)
+    means = sums / sizes
+    means[rows, codes] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    # Singletons, and points with a == b == 0, contribute 0.
+    values = np.divide(b - a, denom, out=np.zeros(codes.size),
+                       where=(own > 1) & (denom > 0.0))
+    return float(values.mean())
 
 
 @dataclass
@@ -227,7 +228,7 @@ class KScanResult:
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["k,silhouette"]
-        lines += [f"{k},{s!r}" for k, s in self.table]
+        lines += [f"{k},{float(s)!r}" for k, s in self.table]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -240,8 +241,8 @@ def select_k(
 ) -> KScanResult:
     """Fit k-means for each candidate K and keep the silhouette argmax.
 
-    Ties break toward the smaller K. The full (K, silhouette) table is
-    returned for reporting.
+    Every K is scored on one distance matrix, built after the fits (so
+    ``kmeans`` has checked the points). Ties break toward the smaller K.
     """
     points = np.asarray(scores, dtype=float)
     ks = sorted(set(int(k) for k in k_values))
@@ -252,18 +253,14 @@ def select_k(
         if not (2 <= k <= n - 1):
             raise ValueError(f"k={k} outside the valid range [2, {n - 1}]")
 
-    table: list[tuple[int, float]] = []
-    best: tuple[float, int] | None = None
-    best_model = None
-    for k in ks:
-        model = kmeans(points, k, seed=seed, restarts=restarts, max_iter=max_iter)
-        sil = model.silhouette if model.silhouette is not None else float("-inf")
-        table.append((k, sil))
-        # argmax with ties toward smaller K: strict improvement required
-        if best is None or sil > best[0]:
-            best = (sil, k)
-            best_model = model
-    return KScanResult(best_k=best[1], model=best_model, table=table)
+    models = [kmeans(points, k, seed=seed, restarts=restarts, max_iter=max_iter)
+              for k in ks]
+    dists = _distances(points)
+    for model in models:
+        model.silhouette = _silhouette(dists, model.assignments)
+    best = max(models, key=lambda m: m.silhouette)  # first maximum: smaller K wins ties
+    return KScanResult(best_k=best.k, model=best,
+                       table=[(m.k, m.silhouette) for m in models])
 
 
 def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:

@@ -226,12 +226,6 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.rows.shape[1]
 
-    def subjects(self) -> list[str]:
-        return sorted({s for s, _, _ in self.row_labels})
-
-    def tasks(self) -> list[str]:
-        return sorted({t for _, t, _ in self.row_labels})
-
 
 @dataclass
 class SampleTable:

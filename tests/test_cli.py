@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from taskopt.cli import _read_row_labels, _safe_name, _stats_payload, main
 from taskopt.config import RunConfig
 from taskopt.crossval import FoldResult
+from taskopt.nn import FcnnModel
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -183,6 +185,57 @@ class TestMalformedCheckpoint:
         assert "unexpected failure" not in caplog.text
         assert "out.b" in caplog.text
         assert "checkpoints" in caplog.text and "model_optimized_" in caplog.text
+
+    def test_report_rejects_checkpoint_with_wrong_input_dim(self, tmp_path,
+                                                             caplog):
+        config_path, out_dir = _small_synth(tmp_path)
+        for command in ("ingest", "cluster", "select", "train"):
+            assert main([command, "--config", str(config_path)]) == 0
+        paths = sorted((out_dir / "checkpoints").glob("model_optimized_*.json"))
+        assert paths
+        for path in paths:
+            config = FcnnModel.load(path).config
+            wrong = FcnnModel(dataclasses.replace(config, input_dim=13))
+            path.write_text(json.dumps(wrong.to_dict()))
+        assert main(["report", "--config", str(config_path)]) == 2
+        assert "unexpected failure" not in caplog.text
+        assert "input_dim 13" in caplog.text
+        assert "checkpoints" in caplog.text and "model_optimized_" in caplog.text
+
+
+def _rewrite_sensors(config_path, keep):
+    """Keep only the sensor data rows for which ``keep(row)`` is true."""
+    path = Path(json.loads(config_path.read_text())["paths"]["sensors"])
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header] + [row for row in rows if keep(row)])
+    return path
+
+
+class TestBadSensors:
+    def _train_after(self, tmp_path, caplog, keep):
+        config_path, out_dir = _small_synth(tmp_path)
+        for command in ("ingest", "cluster", "select"):
+            assert main([command, "--config", str(config_path)]) == 0
+        conditions = json.loads((out_dir / "conditions.json").read_text())
+        sensors = _rewrite_sensors(config_path, lambda row: keep(row, conditions))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "unexpected failure" not in caplog.text
+        assert str(sensors) in caplog.text
+        assert not (out_dir / "fold_results.csv").exists()
+
+    def test_train_rejects_sensors_of_one_subject(self, tmp_path, caplog):
+        self._train_after(tmp_path, caplog, lambda row, _: row[0] == "s01")
+        assert "for 1 kept subject(s)" in caplog.text
+
+    def test_train_rejects_condition_without_sensor_rows(self, tmp_path, caplog):
+        def keep(row, conditions):
+            return row[1] not in conditions["optimized"]["tasks"]
+
+        self._train_after(tmp_path, caplog, keep)
+        assert "condition 'optimized'" in caplog.text
 
 
 class TestSingleCondition:

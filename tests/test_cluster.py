@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_min_inertia, silhouette_by_hand
 from taskopt.cluster import (
@@ -127,6 +129,31 @@ class TestSilhouette:
             silhouette_by_hand(points, labels), abs=1e-12
         )
 
+    def test_tight_clusters_far_from_origin(self):
+        # The Gram form of the distance leaves ~1e-6 on the diagonal at
+        # this scale; the diagonal must be exactly zero, since a sums it.
+        rng = np.random.default_rng(9)
+        points, labels = _blobs(rng, rng.normal(0, 30, size=(3, 3)), 0.05, 4)
+        assert silhouette_score(points, labels) == pytest.approx(
+            silhouette_by_hand(points, labels), abs=1e-12
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    )))
+    @example(([(0, 0)] * 4, [0, 0, 1, 1]))  # a == b == 0 everywhere
+    @example(([(0, 0), (0, 0), (1, 0), (5, 5)], [0, 0, 1, 2]))  # singletons
+    def test_matches_hand_evaluation_property(self, case):
+        # Integer grid points give duplicates; few labels give singletons.
+        points, labels = np.array(case[0], dtype=float), case[1]
+        assume(len(set(labels)) >= 2)
+        assert silhouette_score(points, labels) == pytest.approx(
+            silhouette_by_hand(points, labels), abs=1e-12
+        )
+
     @pytest.mark.parametrize("transform", ["translate", "rotate", "scale"])
     def test_invariances(self, transform):
         rng = np.random.default_rng(19)
@@ -168,10 +195,11 @@ class TestSelectK:
         assert len(scan.table) == 1
 
     def test_tie_breaks_toward_smaller_k(self):
-        # Identical silhouettes are impossible to construct reliably, so
-        # check the rule directly: equal score must not displace the
-        # earlier K. Two perfectly separated pairs give silhouette 1
-        # at K=2; larger K scores strictly less, keeping K=2.
+        # Coincident points score exactly 0 (a == b == 0) at every K.
+        scan = select_k(np.zeros((6, 2)), [4, 2, 3], seed=0)
+        assert scan.table == [(2, 0.0), (3, 0.0), (4, 0.0)]
+        assert scan.best_k == 2 and scan.model.k == 2
+        # Equal score must not displace the earlier K.
         points = np.array([[0.0], [0.0], [10.0], [10.0], [20.0], [20.0]])
         scan = select_k(points, range(2, 4), seed=0)
         assert scan.table[0][1] <= 1.0
@@ -197,6 +225,24 @@ class TestSelectK:
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert lines[0] == "k,silhouette"
         assert len(lines) == 4
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(k), float(s)) for k, s in rows] == scan.table
+
+    def test_table_matches_separate_fits(self):
+        rng = np.random.default_rng(43)
+        centers = [np.zeros(3), np.full(3, 6.0), np.array([6.0, -6.0, 0.0])]
+        points, _ = _blobs(rng, centers, 1.5, 15)
+        scan = select_k(points, range(2, 8), seed=3, restarts=4)
+        separate = {}
+        for k, sil in scan.table:
+            model = kmeans(points, k, seed=3, restarts=4)
+            assert model.silhouette is None  # only select_k scores
+            separate[k] = silhouette_score(points, model.assignments)
+            assert sil == pytest.approx(separate[k], abs=1e-12)
+            if k == scan.best_k:
+                assert np.array_equal(model.assignments, scan.model.assignments)
+        assert scan.best_k == max(separate, key=separate.get)
+        assert scan.model.silhouette == dict(scan.table)[scan.best_k]
 
 
 class TestAri:
