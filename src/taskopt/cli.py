@@ -313,7 +313,13 @@ def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
     kept_subjects = set(ingest_report["exclusion"]["kept_subjects"])
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
-    samples = samples.subset(np.isin(samples.subjects, sorted(kept_subjects)))
+    kept = np.isin(samples.subjects, sorted(kept_subjects))
+    dropped, counts = np.unique(samples.subjects[~kept], return_counts=True)
+    dropped_rows = dict(zip(dropped.tolist(), counts.tolist()))
+    for subject, n in dropped_rows.items():
+        log.info("dropping %d sensor row(s) of subject %s: not kept at ingest",
+                 n, subject)
+    samples = samples.subset(kept)
     selected = {name: conditions[name] for name in cfg.study.conditions}
     for name, task_set in selected.items():
         # With >= 2 such subjects, no fold's train pool is empty.
@@ -348,6 +354,7 @@ def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
         json.dumps(
             {
                 "sensors": sensor_stats.to_dict(),
+                "sensor_rows_dropped_subject": dropped_rows,
                 "skipped_folds": [
                     {"condition": c, "subject": s, "reason": r}
                     for c, s, r in study.skipped
@@ -389,9 +396,7 @@ def _stats_payload(cfg: RunConfig, folds) -> dict:
             }
             continue
         anova = one_way_anova([vectors[c] for c in present])
-        pairwise = pairwise_bonferroni(
-            [(c, vectors[c]) for c in present], paired=True
-        )
+        pairwise = pairwise_bonferroni([(c, vectors[c]) for c in present])
         entry = {
             "n_common_folds": len(subjects),
             "anova": anova.to_dict() | {"significant": anova.p_value < _ALPHA},

@@ -95,8 +95,8 @@ def _lloyd(
     prev: np.ndarray | None = None
     history: list[float] = []
     assign = np.zeros(points.shape[0], dtype=int)
+    d2 = _sq_distances(points, centers)
     for _ in range(max_iter):
-        d2 = _sq_distances(points, centers)
         assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(points.shape[0]), assign]
         # Repair empty clusters with the points farthest from their
@@ -124,8 +124,8 @@ def _lloyd(
             )
         for c in range(k):
             centers[c] = points[assign == c].mean(axis=0)
-        d2_new = _sq_distances(points, centers)
-        inertia = float(d2_new[np.arange(points.shape[0]), assign].sum())
+        d2 = _sq_distances(points, centers)  # also the next iteration's distances
+        inertia = float(d2[np.arange(points.shape[0]), assign].sum())
         history.append(inertia)
         if prev is not None and np.array_equal(assign, prev):
             break

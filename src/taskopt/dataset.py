@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -366,6 +367,59 @@ def _check_ids(subject: str, task: str, trial: str, manifest: TaskManifest,
         )
 
 
+def _read_columns(
+    path: str | Path, header: list[str], fields: list[tuple],
+) -> np.ndarray | None:
+    """All data rows of a CSV in one ``np.loadtxt`` pass, or None if numpy gives up.
+
+    Each record holds the three identifier strings in field ``ids`` and
+    the numbers in ``fields``. None means numpy refused a row or found no
+    data row; the caller's row-by-row loader then names the bad line, or
+    accepts what numpy's stricter number grammar refused (``1_0``,
+    full-width digits).
+    """
+    fh, _ = _open_csv(path, header)
+    with fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on a file without data rows
+        try:
+            # The structured dtype rejects rows of the wrong width, and
+            # comments=None keeps ids that hold '#'.
+            return np.loadtxt(fh, dtype=[("ids", "O", (3,)), *fields],
+                              delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+
+
+def _group_trials(
+    ids: np.ndarray, manifest: TaskManifest,
+) -> tuple[list[tuple[str, str, str]], np.ndarray, Counter] | None:
+    """Each row's rank among the sorted trials of kept tasks.
+
+    Returns the sorted kept trial keys, the per-row ranks (``len(keys)``
+    for rows of excluded tasks, so they sort last) and the excluded rows
+    per task; or None if an id is empty or a task is not in the manifest.
+    Python runs once per run of rows with equal ids, not once per row.
+    """
+    n = ids.shape[0]
+    starts = np.flatnonzero(np.r_[True, (ids[1:] != ids[:-1]).any(axis=1)])
+    lengths = np.diff(np.r_[starts, n])
+    trial_of: dict[tuple[str, str, str], int] = {}
+    run_trial = np.array([trial_of.setdefault(tuple(key), len(trial_of))
+                          for key in ids[starts].tolist()], dtype=np.int64)
+    rows = np.bincount(run_trial, weights=lengths)
+    excluded: Counter = Counter()
+    for (subject, task, trial), count in zip(trial_of, rows.tolist()):
+        if not subject or not task or not trial or task not in manifest:
+            return None
+        if manifest[task].excluded:
+            excluded[task] += int(count)
+    keys = sorted(k for k in trial_of if not manifest[k[1]].excluded)
+    rank_of = {k: r for r, k in enumerate(keys)}
+    trial_rank = np.array([rank_of.get(k, len(keys)) for k in trial_of],
+                          dtype=np.int64)
+    return keys, np.repeat(trial_rank[run_trial], lengths), excluded
+
+
 def load_profiles(
     path: str | Path,
     manifest: TaskManifest,
@@ -375,10 +429,44 @@ def load_profiles(
 
     Rows of excluded tasks are dropped (counted in the returned stats);
     every remaining trial is resampled to ``target_length`` samples.
-    Profiles come back sorted by (subject, task, trial).
+    Profiles come back sorted by (subject, task, trial). The file is
+    parsed in one ``np.loadtxt`` pass and checked with array operations;
+    if either fails, the row-by-row loader runs and raises its error.
     """
     if target_length < 2:
         raise ValueError(f"target_length must be >= 2, got {target_length}")
+    records = _read_columns(path, PROFILE_COLUMNS,
+                            [("i", "i8"), ("v", "f8", (3,))])
+    grouped = None if records is None else _group_trials(records["ids"], manifest)
+    if grouped is None:
+        return _load_profiles_checked(path, manifest, target_length)
+    keys, rank, excluded = grouped
+    n_kept = rank.size - sum(excluded.values())
+    order = np.lexsort((records["i"], rank))[:n_kept]
+    idx, values = records["i"][order], records["v"][order]
+    del records  # frees the per-row id strings
+    counts = np.bincount(rank[order], minlength=len(keys))
+    first = np.cumsum(counts) - counts
+    # Sorted by (trial, sample_index), each trial's indices must read
+    # 0, 1, ..., n-1: no duplicate and no gap.
+    if (counts.min(initial=2) < 2 or not np.isfinite(values).all()
+            or not np.array_equal(idx, np.arange(n_kept) - np.repeat(first, counts))):
+        return _load_profiles_checked(path, manifest, target_length)
+    profiles = [
+        CycleProfile(*key, *(resample_linear(v, target_length)
+                             for v in values[a : a + c].T))
+        for key, a, c in zip(keys, first.tolist(), counts.tolist())
+    ]
+    return profiles, IngestStats(rows_read=rank.size, rows_excluded_task=excluded,
+                                 n_items=len(profiles))
+
+
+def _load_profiles_checked(
+    path: str | Path,
+    manifest: TaskManifest,
+    target_length: int,
+) -> tuple[list[CycleProfile], IngestStats]:
+    """Row-by-row :func:`load_profiles`: names the line of the first bad row."""
     path = Path(path)
     fh, reader = _open_csv(path, PROFILE_COLUMNS)
     stats = IngestStats()
@@ -516,8 +604,43 @@ def load_sensor_samples(
 
     Rows are grouped by (subject, task, trial) in sorted order and keep
     their file order within a trial; time must be strictly increasing
-    within each trial. Excluded-task rows are dropped and counted.
+    within each trial. Excluded-task rows are dropped and counted. The
+    file is parsed in one ``np.loadtxt`` pass and checked with array
+    operations; if either fails, the row-by-row loader runs and raises
+    its error.
     """
+    records = _read_columns(path, SENSOR_COLUMNS,
+                            [("v", "f8", (len(SENSOR_COLUMNS) - 3,))])
+    grouped = None if records is None else _group_trials(records["ids"], manifest)
+    if grouped is None:
+        return _load_sensor_samples_checked(path, manifest)
+    keys, rank, excluded = grouped
+    order = np.argsort(rank, kind="stable")[: rank.size - sum(excluded.values())]
+    flat = records["v"]
+    x, y, times = (flat[order, 1 : 1 + SENSOR_INPUT_DIM], flat[order, -1],
+                   flat[order, 0])
+    del records, flat  # frees the per-row id strings
+    row_rank = rank[order]
+    in_trial = row_rank[1:] == row_rank[:-1]
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(times).all()
+            and (times[1:] > times[:-1])[in_trial].all()):
+        return _load_sensor_samples_checked(path, manifest)
+    per_trial = np.bincount(row_rank, minlength=len(keys))
+
+    def ids(i: int) -> np.ndarray:
+        return np.repeat(np.array([k[i] for k in keys], dtype=object), per_trial)
+
+    table = SampleTable(x=x, y=y, subjects=ids(0), tasks=ids(1), trials=ids(2),
+                        times=times)
+    return table, IngestStats(rows_read=rank.size, rows_excluded_task=excluded,
+                              n_items=table.n)
+
+
+def _load_sensor_samples_checked(
+    path: str | Path,
+    manifest: TaskManifest,
+) -> tuple[SampleTable, IngestStats]:
+    """Row-by-row :func:`load_sensor_samples`: names the line of the first bad row."""
     path = Path(path)
     fh, reader = _open_csv(path, SENSOR_COLUMNS)
     stats = IngestStats()

@@ -201,32 +201,16 @@ def _paired_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, bool]:
     return t, t_two_tailed(t, n - 1), False
 
 
-def _welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, bool]:
-    na, nb = a.size, b.size
-    if na < 2 or nb < 2:
-        raise ValueError("Welch test needs at least 2 values per group")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    se2 = va / na + vb / nb
-    if se2 == 0.0:
-        if a.mean() == b.mean():
-            return 0.0, 1.0, True
-        return math.copysign(math.inf, a.mean() - b.mean()), 0.0, True
-    t = float((a.mean() - b.mean()) / math.sqrt(se2))
-    df = se2**2 / (va**2 / (na**2 * (na - 1)) + vb**2 / (nb**2 * (nb - 1)))
-    return t, t_two_tailed(t, df), False
-
-
 def pairwise_bonferroni(
     groups: Sequence[tuple[str, Sequence[float]]],
-    paired: bool = True,
     m: int | None = None,
 ) -> list[PairwiseResult]:
-    """All pairwise t-tests with Bonferroni-adjusted p-values.
+    """All pairwise paired t-tests with Bonferroni-adjusted p-values.
 
-    Paired tests (the default) require equal lengths with aligned
-    ordering. ``m`` defaults to the number of comparisons. Percent
-    reduction of the second member relative to the first is attached
-    whenever every baseline entry is nonzero.
+    The groups must have equal lengths with aligned ordering. ``m``
+    defaults to the number of comparisons. Percent reduction of the
+    second member relative to the first is attached whenever every
+    baseline entry is nonzero.
     """
     named = [(name, np.asarray(values, dtype=float)) for name, values in groups]
     if len(named) < 2:
@@ -238,16 +222,13 @@ def pairwise_bonferroni(
     for i, j in pairs:
         name_a, a = named[i]
         name_b, b = named[j]
-        if paired:
-            if a.size != b.size:
-                raise ValueError(
-                    f"paired comparison {name_a!r} vs {name_b!r}: lengths differ"
-                )
-            t, p_raw, degenerate = _paired_t(a, b)
-        else:
-            t, p_raw, degenerate = _welch_t(a, b)
+        if a.size != b.size:
+            raise ValueError(
+                f"paired comparison {name_a!r} vs {name_b!r}: lengths differ"
+            )
+        t, p_raw, degenerate = _paired_t(a, b)
         pct_mean = pct_std = None
-        if a.size == b.size and np.all(a != 0.0):
+        if np.all(a != 0.0):
             pct_mean, pct_std = percent_reduction(a, b)
         results.append(
             PairwiseResult(

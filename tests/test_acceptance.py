@@ -132,8 +132,7 @@ def test_statistics_suite():
         assert flat.f_stat == 0.0 and flat.p_value == 1.0 and flat.degenerate
 
         results = pairwise_bonferroni(
-            [("a", [1.0, 2.0, 3.0, 4.0]), ("b", [1.2, 1.9, 3.3, 3.8])],
-            paired=True, m=3,
+            [("a", [1.0, 2.0, 3.0, 4.0]), ("b", [1.2, 1.9, 3.3, 3.8])], m=3,
         )
         for r in results:
             assert r.p_adjusted == min(1.0, 3 * r.p_raw)

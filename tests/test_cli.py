@@ -237,6 +237,22 @@ class TestBadSensors:
         self._train_after(tmp_path, caplog, keep)
         assert "condition 'optimized'" in caplog.text
 
+    def test_train_counts_rows_of_subjects_not_kept(self, tmp_path, caplog):
+        caplog.set_level("INFO", logger="taskopt")
+        config_path, out_dir = _small_synth(tmp_path)
+        for command in ("ingest", "cluster", "select"):
+            assert main([command, "--config", str(config_path)]) == 0
+        path = Path(json.loads(config_path.read_text())["paths"]["sensors"])
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        extra = [["s,99", *row[1:]] for row in rows if row[0] == "s01"]
+        with path.open("a", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(extra)
+        assert main(["train", "--config", str(config_path)]) == 0
+        report = json.loads((out_dir / "train_report.json").read_text())
+        assert report["sensor_rows_dropped_subject"] == {"s,99": len(extra)}
+        assert f"dropping {len(extra)} sensor row(s) of subject s,99" in caplog.text
+
 
 class TestSingleCondition:
     def test_stats_note_for_single_condition(self, tmp_path, caplog):

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_min_inertia, silhouette_by_hand
+from taskopt import cluster
 from taskopt.cluster import (
     ClusterModel,
     adjusted_rand_index,
@@ -68,6 +69,27 @@ class TestKmeans:
         model = kmeans(points, 3, seed=3)
         history = np.array(model.inertia_history)
         assert np.all(np.diff(history) <= 1e-9)
+
+    def test_one_distance_matrix_per_iteration(self, monkeypatch):
+        # An iteration's distances to the moved centres are the next
+        # iteration's distances, so each restart computes them once per
+        # iteration plus once for the initial centres.
+        calls = []
+
+        def counted(points, centers):
+            calls.append(centers.shape)
+            return real(points, centers)
+
+        real = cluster._sq_distances
+        monkeypatch.setattr(cluster, "_sq_distances", counted)
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(200, 2))
+        for _ in range(3):
+            calls.clear()
+            centers = points[rng.choice(200, 4, replace=False)].copy()
+            history = cluster._lloyd(points, centers, 300)[3]
+            assert len(history) >= 2
+            assert len(calls) == len(history) + 1
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(12)

@@ -1,12 +1,16 @@
 import csv
+import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import profile_rows, sensor_row, write_profile_csv, write_sensor_csv
+from taskopt import dataset
 from taskopt.dataset import (
+    PROFILE_COLUMNS,
     SENSOR_COLUMNS,
     DataFormatError,
     TaskInfo,
@@ -19,6 +23,87 @@ from taskopt.dataset import (
     resample_linear,
     unpack_row,
 )
+
+LOADERS = {
+    "profiles": (PROFILE_COLUMNS, lambda p, m: load_profiles(p, m, 5),
+                 lambda p, m: dataset._load_profiles_checked(p, m, 5)),
+    "sensors": (SENSOR_COLUMNS, load_sensor_samples,
+                dataset._load_sensor_samples_checked),
+}
+# Each value replaces one number cell of one row.
+NUMBER_TOKENS = {"underscore": "1_0", "full-width digit": "\uff11", "nan": "nan",
+                 "inf": "inf", "padded": " 1.5 "}
+CORRUPTIONS = [*NUMBER_TOKENS, "empty id", "unknown task", "extra column",
+               "missing column", "repeat first index or time", "skip index or time",
+               "whitespace line", "bare CR", None]
+
+
+def _trial_rows(kind, key, samples):
+    """Clean rows of one trial: its sample_index or time_s, then ``samples``."""
+    return [[*key, str(i) if kind == "profiles" else repr(0.25 * i), *map(repr, numbers)]
+            for i, numbers in enumerate(samples)]
+
+
+def _interleave(rows_by_trial, labels):
+    """Merge the trials' rows in the order of ``labels``, keeping each trial's order."""
+    queues = [list(rows) for rows in rows_by_trial]
+    return [queues[t].pop(0) for t in labels]
+
+
+def _write_case(path, kind, rows, corruption, r, c, pos):
+    """Write the header and ``rows``, with one ``corruption`` of row ``r``.
+
+    ``c`` picks the cell a number token or empty id goes into, ``pos``
+    where in the line a bare CR goes.
+    """
+    rows = [list(row) for row in rows]
+    row = rows[r]
+    if corruption in NUMBER_TOKENS:
+        row[c] = NUMBER_TOKENS[corruption]
+    elif corruption == "empty id":
+        row[c % 3] = ""
+    elif corruption == "unknown task":
+        row[1] = "fly"
+    elif corruption == "extra column":
+        row.append("0")
+    elif corruption == "missing column":
+        row.pop()
+    elif corruption == "repeat first index or time":
+        row[3] = rows[0][3]
+    elif corruption == "skip index or time":
+        row[3] = "7"
+    chunks = []
+    for cells in [LOADERS[kind][0], *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(cells)
+        chunks.append(buf.getvalue())
+    line = chunks[r + 1]
+    if corruption == "whitespace line":
+        chunks.insert(r + 1, "  \n")
+    elif corruption == "bare CR":
+        chunks[r + 1] = line[: pos % len(line)] + "\r" + line[pos % len(line):]
+    path.write_text("".join(chunks), encoding="utf-8", newline="")
+
+
+def _outcome(load, path, manifest):
+    """What a loader gives, in a form ``==`` compares exactly."""
+    try:
+        result, stats = load(path, manifest)
+    except DataFormatError as exc:
+        return str(exc)
+    if isinstance(result, list):
+        return stats, [(p.key, p.moment.tobytes(), p.angle.tobytes(),
+                        p.velocity.tobytes()) for p in result]
+    columns = (result.x, result.y, result.times)
+    return stats, [(a.dtype, a.shape, a.tobytes()) for a in columns], \
+        [a.tolist() for a in (result.subjects, result.tasks, result.trials)]
+
+
+def _assert_same(kind, path, manifest):
+    _, fast, checked = LOADERS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(fast, path, manifest) == _outcome(checked, path, manifest)
 
 
 class TestResample:
@@ -339,6 +424,97 @@ class TestLoadSensors:
         assert table.subjects.tolist() == [odd, "s02"]
         assert table.trials.tolist() == ["t,1", "t1"]
         assert table.x.shape == (2, 14)
+
+
+class TestFastPath:
+    """The one-pass loaders equal the row-by-row ones, errors included."""
+
+    TRIALS = [("s,1", "walk", 't"1'), ("s#2", "jump", "t\n2"), ("s3", "wiggle", "t1")]
+    LABELS = [0, 1, 0, 2, 1, 0, 2, 1, 2]  # row 4 is the second sample of trial 1
+
+    def _rows(self, kind):
+        width = 3 if kind == "profiles" else 15
+        values = [[[0.5 * t + i / 7 + j for j in range(width)] for i in range(3)]
+                  for t in range(3)]
+        by_trial = [_trial_rows(kind, key, v) for key, v in zip(self.TRIALS, values)]
+        return _interleave(by_trial, self.LABELS)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @pytest.mark.parametrize("corruption, expected", [
+        ("underscore", None), ("full-width digit", None), ("padded", None),
+        ("nan", "line 6: non-finite value"), ("inf", "line 6: non-finite value"),
+        ("empty id", "line 6: empty subject/task/trial"),
+        ("unknown task", "line 6: unknown task id 'fly'"),
+        ("extra column", "line 6: expected"), ("missing column", "line 6: expected"),
+        ("repeat first index or time", "line 6: (duplicate sample_index|time_s not)"),
+        ("skip index or time", "not contiguous|line 9: time_s not"),
+        ("whitespace line", "line 6: expected .* got 1"),
+        ("bare CR", "line 6: expected .* got 1"),
+        (None, None),
+    ])
+    def test_explicit_cases(self, tmp_path, small_manifest, kind, corruption, expected):
+        path = tmp_path / "in.csv"
+        _write_case(path, kind, self._rows(kind), corruption, 4, 5, 1)
+        _assert_same(kind, path, small_manifest)
+        _, load, _ = LOADERS[kind]
+        if expected is None:
+            load(path, small_manifest)
+        else:
+            with pytest.raises(DataFormatError, match=expected):
+                load(path, small_manifest)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_clean_file_needs_no_fallback(self, tmp_path, small_manifest, monkeypatch,
+                                          kind):
+        path = tmp_path / "in.csv"
+        _write_case(path, kind, self._rows(kind), None, 0, 0, 0)
+        _, load, checked = LOADERS[kind]
+        expected = _outcome(checked, path, small_manifest)
+
+        def fail(*args):
+            raise AssertionError("fell back to the row-by-row loader")
+
+        monkeypatch.setattr(dataset, "_load_profiles_checked", fail)
+        monkeypatch.setattr(dataset, "_load_sensor_samples_checked", fail)
+        assert _outcome(load, path, small_manifest) == expected
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_header_only_file_loads_without_warning(self, tmp_path, small_manifest, kind):
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(LOADERS[kind][0]) + "\n\n")
+        _assert_same(kind, path, small_manifest)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result, stats = LOADERS[kind][1](path, small_manifest)
+        assert caught == []
+        assert len(result) == 0 if kind == "profiles" else result.n == 0
+        assert stats.rows_read == 0
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_matches_checked_loader_property(self, tmp_path, small_manifest, kind, data):
+        ids = st.sampled_from(["s1", "s,2", 's"3', "s#4", "s\n5", " s6 "])
+        trials = data.draw(st.lists(
+            st.tuples(ids, st.sampled_from(["walk", "jump", "wiggle"]),
+                      st.sampled_from(["t1", "t#2"])),
+            min_size=1, max_size=4, unique=True))
+        width = 3 if kind == "profiles" else 15
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        values = [data.draw(st.lists(st.lists(number, min_size=width, max_size=width),
+                                     min_size=2, max_size=4)) for _ in trials]
+        by_trial = [_trial_rows(kind, key, v) for key, v in zip(trials, values)]
+        labels = data.draw(st.permutations(
+            [t for t, v in enumerate(values) for _ in v]))
+        rows = _interleave(by_trial, labels)
+        corruption = data.draw(st.sampled_from(CORRUPTIONS))
+        r = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(3, len(rows[0]) - 1))
+        pos = data.draw(st.integers(0, 200))
+        path = tmp_path / "in.csv"
+        _write_case(path, kind, rows, corruption, r, c, pos)
+        _assert_same(kind, path, small_manifest)
 
 
 class TestManifest:

@@ -129,7 +129,7 @@ class TestPairwise:
         groups = [("a", rng.normal(0, 1, 10)),
                   ("b", rng.normal(0.2, 1, 10)),
                   ("c", rng.normal(1.5, 1, 10))]
-        results = pairwise_bonferroni(groups, paired=True)
+        results = pairwise_bonferroni(groups)
         assert len(results) == 3
         for r in results:
             assert r.p_adjusted == pytest.approx(min(1.0, 3 * r.p_raw))
@@ -138,12 +138,12 @@ class TestPairwise:
     def test_explicit_m(self):
         a = ("a", [1.0, 2.0, 3.0, 4.0])
         b = ("b", [1.1, 2.2, 2.9, 4.3])
-        (result,) = pairwise_bonferroni([a, b], paired=True, m=3)
+        (result,) = pairwise_bonferroni([a, b], m=3)
         assert result.p_adjusted == pytest.approx(min(1.0, 3 * result.p_raw))
 
     def test_identical_vectors_convention(self):
         (result,) = pairwise_bonferroni(
-            [("a", [1.0, 2.0, 3.0]), ("b", [1.0, 2.0, 3.0])], paired=True
+            [("a", [1.0, 2.0, 3.0]), ("b", [1.0, 2.0, 3.0])]
         )
         assert result.t_stat == 0.0
         assert result.p_raw == 1.0
@@ -151,8 +151,7 @@ class TestPairwise:
 
     def test_constant_nonzero_difference(self):
         (result,) = pairwise_bonferroni(
-            [("a", [2.0, 3.0, 4.0, 5.0]), ("b", [1.0, 2.0, 3.0, 4.0])],
-            paired=True,
+            [("a", [2.0, 3.0, 4.0, 5.0]), ("b", [1.0, 2.0, 3.0, 4.0])]
         )
         assert math.isinf(result.t_stat) and result.t_stat > 0
         assert result.p_raw == 0.0
@@ -162,27 +161,18 @@ class TestPairwise:
         rng = np.random.default_rng(11)
         a = rng.normal(0.5, 1.0, 12)
         b = rng.normal(0.0, 1.0, 12)
-        (result,) = pairwise_bonferroni([("a", a), ("b", b)], paired=True)
+        (result,) = pairwise_bonferroni([("a", a), ("b", b)])
         ref = scipy.stats.ttest_rel(a, b)
-        assert result.t_stat == pytest.approx(float(ref.statistic), rel=1e-10)
-        assert result.p_raw == pytest.approx(float(ref.pvalue), abs=1e-10)
-
-    def test_welch_against_scipy(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(0.5, 1.0, 10)
-        b = rng.normal(0.0, 2.0, 14)
-        (result,) = pairwise_bonferroni([("a", a), ("b", b)], paired=False)
-        ref = scipy.stats.ttest_ind(a, b, equal_var=False)
         assert result.t_stat == pytest.approx(float(ref.statistic), rel=1e-10)
         assert result.p_raw == pytest.approx(float(ref.pvalue), abs=1e-10)
 
     def test_paired_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            pairwise_bonferroni([("a", [1, 2, 3]), ("b", [1, 2])], paired=True)
+            pairwise_bonferroni([("a", [1, 2, 3]), ("b", [1, 2])])
 
     def test_percent_reduction_attached(self):
         (result,) = pairwise_bonferroni(
-            [("base", [2.0, 2.0]), ("new", [1.0, 1.0])], paired=True
+            [("base", [2.0, 2.0]), ("new", [1.0, 1.0])]
         )
         assert result.pct_reduction_mean == pytest.approx(50.0)
         assert result.pct_reduction_std == pytest.approx(0.0)
