@@ -313,7 +313,7 @@ def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
     kept_subjects = set(ingest_report["exclusion"]["kept_subjects"])
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
-    kept = np.isin(samples.subjects, sorted(kept_subjects))
+    kept = samples.isin("subject", kept_subjects)
     dropped, counts = np.unique(samples.subjects[~kept], return_counts=True)
     dropped_rows = dict(zip(dropped.tolist(), counts.tolist()))
     for subject, n in dropped_rows.items():
@@ -323,7 +323,7 @@ def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
     selected = {name: conditions[name] for name in cfg.study.conditions}
     for name, task_set in selected.items():
         # With >= 2 such subjects, no fold's train pool is empty.
-        n = len(set(samples.subjects[np.isin(samples.tasks, task_set.tasks)]))
+        n = len(samples.subset(samples.isin("task", task_set.tasks)).subject_set())
         if n < 2:
             raise DataFormatError(
                 f"{cfg.paths.sensors}: condition {name!r} has sensor rows of its "
@@ -455,7 +455,7 @@ def _write_traces(cfg: RunConfig, out: Path, folds, manifest) -> list[Path]:
     subject = anchor_folds[len(anchor_folds) // 2].left_out
 
     samples, _ = load_sensor_samples(cfg.paths.sensors, manifest)
-    samples = samples.subset(samples.subjects == subject)
+    samples = samples.subset(samples.isin("subject", [subject]))
     tasks = sorted(set(samples.tasks))
     cyclic = [t for t in tasks if manifest.is_cyclic(t)]
     non_cyclic = [t for t in tasks if not manifest.is_cyclic(t)]

@@ -9,8 +9,13 @@ left-out subject's full task set so conditions stay comparable.
 from __future__ import annotations
 
 import csv
+import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -21,6 +26,8 @@ from .dataset import SampleTable
 from .errors import InsufficientTrialsError
 from .nn import FcnnConfig, FcnnModel, TrainHistory, train
 from .taskselect import TaskSet
+
+log = logging.getLogger("taskopt")
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,10 @@ class LosoFold:
     test: SampleTable
 
 
-def loso_folds(
+def _fold_subjects(
     samples: SampleTable, subjects: Sequence[str] | None = None
-) -> list[LosoFold]:
-    """One fold per subject, each testing on that subject alone."""
+) -> list[str]:
+    """The subjects left out in turn, sorted; at least two, each with samples."""
     found = sorted(samples.subject_set())
     if subjects is None:
         subjects = found
@@ -66,15 +73,22 @@ def loso_folds(
             raise ValueError(f"subjects with no samples: {missing}")
     if len(subjects) < 2:
         raise ValueError(f"leave-one-subject-out needs >= 2 subjects, got {len(subjects)}")
+    return subjects
+
+
+def loso_folds(
+    samples: SampleTable, subjects: Sequence[str] | None = None
+) -> list[LosoFold]:
+    """One fold per subject, each testing on that subject alone."""
     folds = []
-    for subject in subjects:
-        test_mask = samples.subjects == subject
+    for subject in _fold_subjects(samples, subjects):
+        test_mask = samples.isin("subject", [subject])
         fold = LosoFold(
             left_out=subject,
             train_pool=samples.subset(~test_mask),
             test=samples.subset(test_mask),
         )
-        if fold.train_pool.subject_set() & {subject}:
+        if subject in fold.train_pool.subject_set():
             raise RuntimeError(f"subject {subject!r} leaked into its own train pool")
         folds.append(fold)
     return folds
@@ -87,11 +101,12 @@ def split_train_val(
 
     All samples of a trial land on the same side. Train size is
     floor(fraction * n_trials); the validation side is never empty.
+    The permutation indexes the pool's trials in sorted key order.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    keys = pool.trial_keys()
-    n_trials = len(keys)
+    trials = np.unique(pool.codes)  # codes rank the keys, so this is key order
+    n_trials = trials.size
     if n_trials < 2:
         raise InsufficientTrialsError(
             f"need at least 2 trials to split, got {n_trials}"
@@ -100,9 +115,7 @@ def split_train_val(
     order = rng.permutation(n_trials)
     n_train = int(math.floor(fraction * n_trials))
     n_train = min(max(n_train, 1), n_trials - 1)
-    train_keys = {keys[i] for i in order[:n_train]}
-    row_keys = list(zip(pool.subjects, pool.tasks, pool.trials))
-    mask = np.array([k in train_keys for k in row_keys])
+    mask = np.isin(pool.codes, trials[order[:n_train]])
     return pool.subset(mask), pool.subset(~mask)
 
 
@@ -150,55 +163,120 @@ def fcnn_trainer(train_xy, val_xy, config: FcnnConfig):
     return model, history
 
 
-def _run_one(
-    condition: str,
-    task_set: tuple[str, ...],
-    fold: LosoFold,
-    fold_seed: int,
-    nn_config: FcnnConfig,
-    val_fraction: float,
-    trainer: Trainer,
-):
-    allowed = set(task_set)
-    pool_mask = np.array([t in allowed for t in fold.train_pool.tasks])
-    pool = fold.train_pool.subset(pool_mask)
+# One (condition, left-out subject) fold: the condition's name and tasks,
+# the left-out subject's index into the sorted subjects, the fold seed,
+# the network config, the train fraction and the trainer.
+FoldJob = tuple[str, tuple[str, ...], int, int, FcnnConfig, float, Trainer]
+
+
+def _run_fold(samples: SampleTable, subjects: Sequence[str], job: FoldJob):
+    """Train and test one fold, masked out of the whole study table.
+
+    Returns ("ok", (result, history, checkpoint)), or ("skipped", reason)
+    when the fold's training pool has fewer than 2 trials.
+    """
+    condition, task_set, index, fold_seed, nn_config, val_fraction, trainer = job
+    left_out = subjects[index]
+    held_out = samples.isin("subject", [left_out])
+    test = samples.subset(held_out)
+    pool = samples.subset(samples.isin("task", task_set) & ~held_out)
     if pool.n == 0:
         raise ValueError(
             f"condition {condition!r}: no training samples left after task filtering"
         )
-    train_tab, val_tab = split_train_val(pool, fraction=val_fraction, seed=fold_seed)
-    if fold.left_out in (train_tab.subject_set() | val_tab.subject_set()):
-        raise RuntimeError(f"subject {fold.left_out!r} leaked into training data")
-    used_tasks = {str(t) for t in train_tab.tasks} | {str(t) for t in val_tab.tasks}
-    if used_tasks - allowed:
-        raise RuntimeError(
-            f"tasks outside condition {condition!r}: {sorted(used_tasks - allowed)}"
-        )
+    try:
+        train_tab, val_tab = split_train_val(pool, fraction=val_fraction,
+                                             seed=fold_seed)
+    except InsufficientTrialsError as exc:
+        return "skipped", str(exc)
+    for side in (train_tab, val_tab):
+        if side.isin("subject", [left_out]).any():
+            raise RuntimeError(f"subject {left_out!r} leaked into training data")
+        if not side.isin("task", task_set).all():
+            outside = sorted(set(side.tasks) - set(task_set))
+            raise RuntimeError(f"tasks outside condition {condition!r}: {outside}")
 
     config = replace(nn_config, seed=fold_seed)
     model, history = trainer((train_tab.x, train_tab.y), (val_tab.x, val_tab.y),
                              config)
-    pred = np.asarray(model.predict(fold.test.x)).reshape(-1)
-    m = metrics(pred, fold.test.y)
+    pred = np.asarray(model.predict(test.x)).reshape(-1)
+    m = metrics(pred, test.y)
     result = FoldResult(
         condition=condition,
-        left_out=fold.left_out,
+        left_out=left_out,
         rmse=m.rmse,
         r2=m.r2,
         n_train=train_tab.n,
         n_val=val_tab.n,
-        n_test=fold.test.n,
+        n_test=test.n,
         seed=fold_seed,
     )
     checkpoint = model.to_dict() if isinstance(model, FcnnModel) else None
-    return result, history, checkpoint
+    return "ok", (result, history, checkpoint)
 
 
-def _run_one_payload(payload):
+# The study table and its subjects in a pool worker, set once by _init_worker.
+_worker_study: tuple[SampleTable, list[str]] | None = None
+
+
+def _init_worker(samples: SampleTable, subjects: list[str]) -> None:
+    global _worker_study
+    _worker_study = samples, subjects
+
+
+def _run_fold_in_worker(job: FoldJob):
+    return _run_fold(*_worker_study, job)
+
+
+# Spawned workers read these when numpy loads, so each runs its BLAS on one
+# thread: jobs workers then use jobs cores, rather than contending for them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_in_children():
+    """Set the BLAS thread variables to 1 for the block; restore them after.
+
+    This process's BLAS has long read its environment, so only children
+    started inside the block are pinned.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        return "ok", _run_one(*payload)
-    except InsufficientTrialsError as exc:
-        return "skipped", str(exc)
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _completed(samples: SampleTable, subjects: list[str], fold_jobs: list[FoldJob],
+               jobs: int):
+    """Yields (job index, output) of every fold job as it finishes.
+
+    With ``jobs > 1`` the jobs run on a pool of spawned workers, each of
+    which receives the table once; otherwise here, one at a time.
+    """
+    if jobs <= 1:
+        for i, job in enumerate(fold_jobs):
+            yield i, _run_fold(samples, subjects, job)
+        return
+    # Spawn starts workers on demand while jobs are submitted, and
+    # replaces a dead one later, so the variables stay set throughout.
+    with _one_blas_thread_in_children(), ProcessPoolExecutor(
+            max_workers=min(jobs, len(fold_jobs)),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker, initargs=(samples, subjects)) as pool:
+        futures = {pool.submit(_run_fold_in_worker, job): i
+                   for i, job in enumerate(fold_jobs)}
+        try:
+            for future in as_completed(futures):
+                yield futures[future], future.result()
+        finally:
+            for future in futures:  # after a failure, run no more jobs
+                future.cancel()
 
 
 def run_study(
@@ -214,33 +292,42 @@ def run_study(
 
     Per-fold seeds are ``seed ^ fold_index`` so folds are reproducible
     in any execution order; results are collected in (condition,
-    subject) order regardless of scheduling. Folds whose pool cannot be
-    split (fewer than 2 trials) are skipped and reported.
+    subject) order regardless of scheduling. Jobs start in that order
+    too, so the first condition's folds start first. Folds whose pool
+    cannot be split (fewer than 2 trials) are skipped and reported.
+    Each finished fold is logged with its position, RMSE and elapsed
+    time.
+
+    With ``jobs > 1`` the folds run in spawned worker processes, so a
+    script that calls this needs an ``if __name__ == "__main__":`` guard.
     """
     if not conditions:
         raise ValueError("no conditions to run")
-    folds = loso_folds(samples)
+    subjects = _fold_subjects(samples)
+    fold_jobs = [
+        (name, tuple(task_set.tasks), fold_index, seed ^ fold_index, nn_config,
+         val_fraction, trainer)
+        for name, task_set in conditions.items()
+        for fold_index in range(len(subjects))
+    ]
 
-    jobs_list = []
-    meta = []
-    skipped: list[tuple[str, str, str]] = []
-    for name, task_set in conditions.items():
-        for fold_index, fold in enumerate(folds):
-            fold_seed = seed ^ fold_index
-            jobs_list.append((name, tuple(task_set.tasks), fold, fold_seed,
-                              nn_config, val_fraction, trainer))
-            meta.append((name, fold.left_out))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_run_one_payload, jobs_list))
-    else:
-        outputs = [_run_one_payload(payload) for payload in jobs_list]
+    outputs: list = [None] * len(fold_jobs)
+    start = time.perf_counter()
+    for done, (i, output) in enumerate(
+            _completed(samples, subjects, fold_jobs, jobs), start=1):
+        outputs[i] = output
+        status, out = output
+        log.info("fold %d/%d %s %s %s elapsed=%.1fs", done, len(fold_jobs),
+                 fold_jobs[i][0], subjects[fold_jobs[i][2]],
+                 f"rmse={out[0].rmse:.4g}" if status == "ok" else "skipped",
+                 time.perf_counter() - start)
 
     fold_results: list[FoldResult] = []
     histories: dict[tuple[str, str], TrainHistory] = {}
     checkpoints: dict[tuple[str, str], dict] = {}
-    for (name, left_out), (status, out) in zip(meta, outputs):
+    skipped: list[tuple[str, str, str]] = []
+    for job, (status, out) in zip(fold_jobs, outputs):
+        name, left_out = job[0], subjects[job[2]]
         if status == "skipped":
             skipped.append((name, left_out, out))
             continue

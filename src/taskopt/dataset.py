@@ -102,9 +102,6 @@ class TaskManifest:
     def __len__(self) -> int:
         return len(self._tasks)
 
-    def ids(self) -> list[str]:
-        return list(self._tasks)
-
     def active(self) -> list[TaskInfo]:
         """Tasks not marked excluded."""
         return [t for t in self._tasks.values() if not t.excluded]
@@ -233,34 +230,62 @@ class SampleTable:
     """Wearable-sensor rows as columns, one entry per timestamped sample.
 
     Each row holds the 14 network inputs (angle, velocity, pelvis and
-    thigh accel/gyro), the target moment, and its trial's identifiers.
+    thigh accel/gyro), the target moment, and its trial's code: the
+    row's index into ``keys``, the sorted, distinct (subject, task,
+    trial) triples. So codes order rows as their keys do, and a
+    per-trial test becomes a per-row mask by indexing it with ``codes``.
+    Subsets share ``keys``, which may then hold trials with no rows.
     """
 
     x: np.ndarray  # (n, SENSOR_INPUT_DIM)
     y: np.ndarray  # (n,)
-    subjects: np.ndarray
-    tasks: np.ndarray
-    trials: np.ndarray
-    times: np.ndarray
+    times: np.ndarray  # (n,)
+    codes: np.ndarray  # (n,) int32
+    keys: np.ndarray  # (n_trials, 3) object: sorted (subject, task, trial)
 
     @property
     def n(self) -> int:
         return self.y.shape[0]
 
+    @property
+    def subjects(self) -> np.ndarray:
+        return self.keys[self.codes, 0]
+
+    @property
+    def tasks(self) -> np.ndarray:
+        return self.keys[self.codes, 1]
+
+    @property
+    def trials(self) -> np.ndarray:
+        return self.keys[self.codes, 2]
+
     def subset(self, mask: np.ndarray) -> "SampleTable":
-        return SampleTable(
-            x=self.x[mask], y=self.y[mask], subjects=self.subjects[mask],
-            tasks=self.tasks[mask], trials=self.trials[mask], times=self.times[mask],
-        )
+        return SampleTable(x=self.x[mask], y=self.y[mask], times=self.times[mask],
+                           codes=self.codes[mask], keys=self.keys)
+
+    def isin(self, column: str, ids) -> np.ndarray:
+        """Mask of the rows whose ``column`` id is in ``ids``.
+
+        ``column`` is "subject", "task" or "trial". One test per trial,
+        then one gather per row.
+        """
+        in_ids = np.isin(self.keys[:, ("subject", "task", "trial").index(column)],
+                         list(ids))
+        return in_ids[self.codes]
 
     def trial_keys(self) -> list[tuple[str, str, str]]:
-        return sorted({
-            (str(s), str(t), str(tr))
-            for s, t, tr in zip(self.subjects, self.tasks, self.trials)
-        })
+        return [tuple(k) for k in self.keys[np.unique(self.codes)].tolist()]
 
     def subject_set(self) -> set[str]:
-        return {str(s) for s in self.subjects}
+        return set(self.keys[np.unique(self.codes), 0].tolist())
+
+
+def _sample_table(x: np.ndarray, y: np.ndarray, times: np.ndarray,
+                  keys: list[tuple[str, str, str]], per_trial: np.ndarray) -> SampleTable:
+    """A table of rows grouped by trial in the order of the sorted ``keys``."""
+    codes = np.repeat(np.arange(len(keys), dtype=np.int32), per_trial)
+    return SampleTable(x=x, y=y, times=times, codes=codes,
+                       keys=np.array(keys, dtype=object).reshape(-1, 3))
 
 
 @dataclass
@@ -625,13 +650,7 @@ def load_sensor_samples(
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(times).all()
             and (times[1:] > times[:-1])[in_trial].all()):
         return _load_sensor_samples_checked(path, manifest)
-    per_trial = np.bincount(row_rank, minlength=len(keys))
-
-    def ids(i: int) -> np.ndarray:
-        return np.repeat(np.array([k[i] for k in keys], dtype=object), per_trial)
-
-    table = SampleTable(x=x, y=y, subjects=ids(0), tasks=ids(1), trials=ids(2),
-                        times=times)
+    table = _sample_table(x, y, times, keys, np.bincount(row_rank, minlength=len(keys)))
     return table, IngestStats(rows_read=rank.size, rows_excluded_task=excluded,
                               n_items=table.n)
 
@@ -685,15 +704,9 @@ def _load_sensor_samples_checked(
     rank[[trial_ids[k] for k in keys]] = np.arange(len(keys))
     row_rank = rank[np.asarray(row_trial)]
     order = np.argsort(row_rank, kind="stable")
-    per_trial = np.bincount(row_rank, minlength=len(keys))
     flat = np.asarray(values).reshape(-1, len(SENSOR_COLUMNS) - 3)
-
-    def ids(i: int) -> np.ndarray:
-        return np.repeat(np.array([k[i] for k in keys], dtype=object), per_trial)
-
-    table = SampleTable(
-        x=flat[order, 1 : 1 + SENSOR_INPUT_DIM], y=flat[order, -1],
-        subjects=ids(0), tasks=ids(1), trials=ids(2), times=flat[order, 0],
-    )
+    table = _sample_table(flat[order, 1 : 1 + SENSOR_INPUT_DIM], flat[order, -1],
+                          flat[order, 0], keys,
+                          np.bincount(row_rank, minlength=len(keys)))
     stats.n_items = table.n
     return table, stats

@@ -1,11 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from taskopt.dataset import TaskInfo, TaskManifest
+from taskopt.dataset import SampleTable, TaskInfo, TaskManifest
 
 
 @pytest.fixture
@@ -50,3 +51,16 @@ def write_sensor_csv(path, rows):
 def sensor_row(subject, task, trial, time, values=None, target=0.5):
     values = values if values is not None else [0.1] * 14
     return (subject, task, trial, time, *values, target)
+
+
+def table_from_ids(x, y, times, subjects, tasks, trials):
+    """A SampleTable from per-row id columns, rows in any order."""
+    row_keys = list(zip(subjects, tasks, trials))
+    keys = sorted(set(row_keys))
+    code_of = {key: code for code, key in enumerate(keys)}
+    return SampleTable(
+        x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
+        times=np.asarray(times, dtype=float),
+        codes=np.array([code_of[key] for key in row_keys], dtype=np.int32),
+        keys=np.array(keys, dtype=object).reshape(-1, 3),
+    )

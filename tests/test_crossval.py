@@ -1,8 +1,15 @@
+import logging
+import math
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import table_from_ids
+from taskopt import crossval
 from taskopt.crossval import (
-    SampleTable,
     aligned_fold_metric,
     fcnn_trainer,
     loso_folds,
@@ -27,13 +34,9 @@ def make_samples(subjects, tasks, trials_per=3, samples_per=4, seed=0):
     n = len(keys) * samples_per
     x = rng.normal(size=(n, 14))
 
-    def column(i):
-        return np.repeat(np.array([k[i] for k in keys], dtype=object), samples_per)
-
-    return SampleTable(
-        x=x, y=x @ TARGET_WEIGHTS, subjects=column(0), tasks=column(1),
-        trials=column(2), times=np.tile(np.arange(samples_per) * 0.1, len(keys)),
-    )
+    ids = [[k[i] for k in keys for _ in range(samples_per)] for i in range(3)]
+    return table_from_ids(x, x @ TARGET_WEIGHTS,
+                          np.tile(np.arange(samples_per) * 0.1, len(keys)), *ids)
 
 
 class OracleModel:
@@ -45,6 +48,28 @@ class OracleModel:
 
 def oracle_trainer(train_xy, val_xy, config):
     return OracleModel(), None
+
+
+def oracle_trial_keys(subjects, tasks, trials):
+    """Tuple-based ``trial_keys``: the sorted distinct id triples of the rows."""
+    return sorted({(str(s), str(t), str(tr)) for s, t, tr in zip(subjects, tasks, trials)})
+
+
+def oracle_train_mask(subjects, tasks, trials, fraction, seed):
+    """Tuple-based ``split_train_val``: which rows go to the train side."""
+    keys = oracle_trial_keys(subjects, tasks, trials)
+    order = np.random.default_rng(seed).permutation(len(keys))
+    n_train = min(max(int(math.floor(fraction * len(keys))), 1), len(keys) - 1)
+    train_keys = {keys[i] for i in order[:n_train]}
+    return np.array([k in train_keys for k in zip(subjects, tasks, trials)], dtype=bool)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def env_trainer(train_xy, val_xy, config):
+    """The oracle model, with the BLAS thread variables of the process as history."""
+    return OracleModel(), {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
 
 
 class TestLosoFolds:
@@ -108,6 +133,47 @@ class TestSplitTrainVal:
     def test_fraction_validation(self):
         with pytest.raises(ValueError, match="fraction"):
             split_train_val(self._pool(4), fraction=1.0)
+
+
+class TestTrialCodes:
+    """Code-based split and keys against the tuple-based oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_split_and_keys_match_tuple_oracle(self, data):
+        trials = data.draw(st.lists(
+            st.tuples(st.sampled_from(["a", "b,1", 'c"2', "d#3", " e ", "a,"]),
+                      st.sampled_from(["walk", "j,ump"]),
+                      st.sampled_from(["t1", 't"2', "#3"])),
+            min_size=1, max_size=8, unique=True))
+        counts = data.draw(st.lists(st.integers(1, 3), min_size=len(trials),
+                                    max_size=len(trials)))
+        # Rows of different trials interleave, in shuffled order.
+        labels = data.draw(st.permutations(
+            [t for t, c in enumerate(counts) for _ in range(c)]))
+        ids = [[trials[t][i] for t in labels] for i in range(3)]
+        n = len(labels)
+        table = table_from_ids(np.zeros((n, 14)), np.arange(n), np.zeros(n), *ids)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        pool = table.subset(keep)  # shares the keys, some now without rows
+        pool_ids = [[v for v, k in zip(column, keep) if k] for column in ids]
+        fraction = data.draw(st.sampled_from([0.34, 0.5, 0.8]))
+        seed = data.draw(st.integers(0, 2**16))
+
+        assert table.trial_keys() == oracle_trial_keys(*ids)
+        assert pool.trial_keys() == oracle_trial_keys(*pool_ids)
+        if len(pool.trial_keys()) < 2:
+            with pytest.raises(InsufficientTrialsError):
+                split_train_val(pool, fraction, seed)
+            return
+        train, val = split_train_val(pool, fraction, seed)
+        mask = oracle_train_mask(*pool_ids, fraction, seed)
+        rows = np.flatnonzero(keep)
+        assert train.y.tolist() == rows[mask].tolist()
+        assert val.y.tolist() == rows[~mask].tolist()
+        for side, side_mask in ((train, mask), (val, ~mask)):
+            side_ids = [np.array(column, dtype=object)[side_mask] for column in pool_ids]
+            assert side.trial_keys() == oracle_trial_keys(*side_ids)
 
 
 class TestMetrics:
@@ -236,6 +302,86 @@ class TestRunStudy:
         assert set(study.histories) == {("all", "a"), ("all", "b")}
         for fold in study.folds:
             assert np.isfinite(fold.rmse)
+
+
+class TestPool:
+    CONDITIONS = {
+        "all": TaskSet("all", ("jump", "stairs", "toss", "walk"), "test"),
+        "optimized": TaskSet("optimized", ("stairs", "toss"), "test"),
+        "cyclic": TaskSet("cyclic", ("stairs", "walk"), "test"),
+    }
+
+    def test_select_large_shape_same_at_one_and_two_jobs(self):
+        # 20 subjects x 4 tasks x 1 trial x 2 samples: 60 folds.
+        samples = make_samples([f"s{i:02d}" for i in range(20)],
+                               ["walk", "stairs", "jump", "toss"],
+                               trials_per=1, samples_per=2, seed=11)
+        config = FcnnConfig(input_dim=14, hidden=(8, 8), batch_size=16,
+                            max_epochs=1, patience=1, seed=0)
+        serial = run_study(samples, self.CONDITIONS, config, seed=7, jobs=1)
+        parallel = run_study(samples, self.CONDITIONS, config, seed=7, jobs=2)
+        assert len(serial.folds) == 60 and not serial.skipped
+        assert serial.folds == parallel.folds
+        assert serial.checkpoints == parallel.checkpoints
+
+    def test_workers_pinned_parent_env_restored(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        samples = make_samples(["a", "b", "c"], ["walk"])
+        conditions = {"all": TaskSet("all", ("walk",), "test")}
+        parallel = run_study(samples, conditions, FcnnConfig(), jobs=2,
+                             trainer=env_trainer)
+        assert dict(os.environ) == before
+        assert list(parallel.histories.values()) == [
+            dict.fromkeys(BLAS_THREAD_VARS, "1")] * 3
+        serial = run_study(samples, conditions, FcnnConfig(), jobs=1,
+                           trainer=env_trainer)
+        assert dict(os.environ) == before
+        assert [env["OPENBLAS_NUM_THREADS"] for env in serial.histories.values()] \
+            == ["3"] * 3
+
+    def test_pool_capped_at_job_count(self, monkeypatch):
+        seen = []
+
+        class NoPool(Exception):
+            pass
+
+        class RecordingExecutor:
+            def __init__(self, max_workers, mp_context, **kwargs):
+                seen.append((max_workers, mp_context.get_start_method()))
+                raise NoPool
+
+        monkeypatch.setattr(crossval, "ProcessPoolExecutor", RecordingExecutor)
+        before = dict(os.environ)
+        samples = make_samples(["a", "b", "c"], ["walk"])
+        conditions = {"all": TaskSet("all", ("walk",), "test")}
+        for jobs in (64, 2):
+            with pytest.raises(NoPool):
+                run_study(samples, conditions, FcnnConfig(), jobs=jobs,
+                          trainer=oracle_trainer)
+        assert seen == [(3, "spawn"), (2, "spawn")]
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_logs_fold_progress(self, caplog, jobs):
+        samples = make_samples(["a", "b", "c"], ["walk", "jump"])
+        conditions = {
+            "all": TaskSet("all", ("jump", "walk"), "test"),
+            "cyclic": TaskSet("cyclic", ("walk",), "test"),
+        }
+        with caplog.at_level(logging.INFO, logger="taskopt"):
+            study = run_study(samples, conditions, FcnnConfig(), jobs=jobs,
+                              trainer=oracle_trainer)
+        lines = [r.getMessage().split() for r in caplog.records
+                 if r.getMessage().startswith("fold ")]
+        assert [line[1] for line in lines] == [f"{i}/6" for i in range(1, 7)]
+        assert sorted((line[2], line[3]) for line in lines) == \
+            sorted((f.condition, f.left_out) for f in study.folds)
+        for line in lines:
+            assert line[4].startswith("rmse=") and line[5].startswith("elapsed=")
+        assert [(f.condition, f.left_out) for f in study.folds] == [
+            (c, s) for c in ("all", "cyclic") for s in ("a", "b", "c")]
 
 
 class TestAlignment:

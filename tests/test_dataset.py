@@ -94,9 +94,9 @@ def _outcome(load, path, manifest):
     if isinstance(result, list):
         return stats, [(p.key, p.moment.tobytes(), p.angle.tobytes(),
                         p.velocity.tobytes()) for p in result]
-    columns = (result.x, result.y, result.times)
+    columns = (result.x, result.y, result.times, result.codes)
     return stats, [(a.dtype, a.shape, a.tobytes()) for a in columns], \
-        [a.tolist() for a in (result.subjects, result.tasks, result.trials)]
+        result.keys.tolist()
 
 
 def _assert_same(kind, path, manifest):
@@ -478,6 +478,19 @@ class TestFastPath:
         monkeypatch.setattr(dataset, "_load_sensor_samples_checked", fail)
         assert _outcome(load, path, small_manifest) == expected
 
+    @pytest.mark.parametrize("load", [load_sensor_samples,
+                                      dataset._load_sensor_samples_checked])
+    def test_codes_rank_sorted_keys(self, tmp_path, small_manifest, load):
+        rows = self._rows("sensors")
+        path = tmp_path / "in.csv"
+        _write_case(path, "sensors", rows, None, 0, 0, 0)
+        table, _ = load(path, small_manifest)
+        keys = sorted({tuple(r[:3]) for r in rows if r[1] != "wiggle"})
+        assert table.keys.tolist() == [list(k) for k in keys]
+        key_of = {float(r[-1]): tuple(r[:3]) for r in rows}  # distinct targets
+        assert table.codes.dtype == np.int32
+        assert table.codes.tolist() == [keys.index(key_of[y]) for y in table.y.tolist()]
+
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_header_only_file_loads_without_warning(self, tmp_path, small_manifest, kind):
         path = tmp_path / "in.csv"
@@ -521,7 +534,9 @@ class TestManifest:
     def test_round_trip(self, tmp_path, small_manifest):
         small_manifest.to_json(tmp_path / "tasks.json")
         back = TaskManifest.from_json(tmp_path / "tasks.json")
-        assert back.ids() == small_manifest.ids()
+        assert len(back) == len(small_manifest)
+        assert back.active_ids() == small_manifest.active_ids()
+        assert "wiggle" in back and back["wiggle"] == small_manifest["wiggle"]
         assert back.cyclic_ids() == small_manifest.cyclic_ids()
         assert back.weights() == small_manifest.weights()
 
@@ -537,6 +552,6 @@ class TestManifest:
         manifest = default_task_manifest()
         assert len(manifest.active_ids()) == 20
         assert len(manifest.cyclic_ids()) == 8
-        assert len(manifest.ids()) == 27
-        assert "meander" in manifest.ids()
+        assert len(manifest) == 27
+        assert "meander" in manifest
         assert "meander" not in manifest.active_ids()
