@@ -9,12 +9,10 @@ regression networks under leave-one-subject-out cross-validation.
 from .cluster import ClusterModel, adjusted_rand_index, kmeans, select_k, silhouette_score
 from .crossval import FoldResult, Metrics, loso_folds, metrics, run_study, split_train_val
 from .dataset import (
-    CycleProfile,
     FeatureMatrix,
     SampleTable,
     TaskInfo,
     TaskManifest,
-    build_feature_matrix,
     default_task_manifest,
     exclude_subjects,
     load_profiles,

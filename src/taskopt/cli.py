@@ -39,7 +39,6 @@ from .crossval import (
 )
 from .dataset import (
     TaskManifest,
-    build_feature_matrix,
     exclude_subjects,
     load_profiles,
     load_sensor_samples,
@@ -135,10 +134,27 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_row_labels(path: Path) -> list[tuple[str, str, str]]:
+def _read_row_labels(path: Path, n_rows: int) -> list[tuple[str, str, str]]:
+    """The (subject, task, trial) labels of ``n_rows`` matrix rows."""
     with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    return [tuple(row) for row in rows[1:]]
+        labels = [tuple(row) for row in list(csv.reader(fh))[1:]]
+    if len(labels) != n_rows or any(len(label) != 3 for label in labels):
+        raise DataFormatError(f"{path}: expected {n_rows} rows of 3 cells "
+                              "(subject, task, trial) after the header")
+    return labels
+
+
+def _read_feature_matrix(out: Path) -> tuple[np.ndarray, list[tuple[str, str, str]]]:
+    """The ingest stage's matrix and its row labels, checked against each other."""
+    path = _require(out / FEATURE_MATRIX, "ingest")
+    try:
+        rows = np.load(path)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataFormatError(f"{path}: not a saved numpy array ({exc})") from exc
+    if rows.ndim != 2 or rows.dtype.kind != "f":
+        raise DataFormatError(f"{path}: expected a 2-D float array, "
+                              f"got {rows.ndim}-D {rows.dtype}")
+    return rows, _read_row_labels(_require(out / ROW_LABELS, "ingest"), rows.shape[0])
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -189,18 +205,17 @@ def cmd_synth(args) -> None:
 def cmd_ingest(cfg: RunConfig, config_path: Path) -> None:
     out = _out_dir(cfg)
     manifest = TaskManifest.from_json(cfg.paths.tasks)
-    profiles, stats = load_profiles(
+    matrix, stats = load_profiles(
         cfg.paths.profiles, manifest, cfg.dataset.target_length
     )
-    kept, exclusion = exclude_subjects(
-        profiles, cfg.study.min_cyclic_trials, manifest
+    matrix, exclusion = exclude_subjects(
+        matrix, cfg.study.min_cyclic_trials, manifest
     )
     for subject, count in exclusion.dropped:
         log.info("excluding subject %s (%d cyclic trial(s) < %d)",
                  subject, count, cfg.study.min_cyclic_trials)
-    if not kept:
+    if not matrix.n:
         raise TaskOptError("no profiles left after subject exclusion")
-    matrix = build_feature_matrix(kept)
     np.save(out / FEATURE_MATRIX, matrix.rows)
     _write_csv(out / ROW_LABELS, ["subject", "task", "trial"], matrix.row_labels)
     report = {
@@ -223,8 +238,7 @@ def cmd_ingest(cfg: RunConfig, config_path: Path) -> None:
 
 def cmd_cluster(cfg: RunConfig, config_path: Path) -> None:
     out = _out_dir(cfg)
-    rows = np.load(_require(out / FEATURE_MATRIX, "ingest"))
-    labels = _read_row_labels(_require(out / ROW_LABELS, "ingest"))
+    rows, labels = _read_feature_matrix(out)
 
     model = pca_fit(rows, standardize=cfg.pca.standardize)
     p_star, cumulative = select_components(model, cfg.pca.variance_threshold)
@@ -282,7 +296,8 @@ def cmd_cluster(cfg: RunConfig, config_path: Path) -> None:
 def cmd_select(cfg: RunConfig, config_path: Path) -> None:
     out = _out_dir(cfg)
     cluster_model = ClusterModel.from_json(_require(out / CLUSTER_MODEL, "cluster"))
-    labels = _read_row_labels(_require(out / ROW_LABELS, "ingest"))
+    labels = _read_row_labels(_require(out / ROW_LABELS, "ingest"),
+                              len(cluster_model.assignments))
     manifest = TaskManifest.from_json(cfg.paths.tasks)
 
     rows = task_weight_analysis(cluster_model.assignments, labels,

@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import warnings
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -187,29 +186,6 @@ def default_task_manifest() -> TaskManifest:
 
 
 @dataclass
-class CycleProfile:
-    """Cycle-averaged moment/angle/velocity triplet for one trial.
-
-    All three vectors share the same length after resampling.
-    """
-
-    subject: str
-    task: str
-    trial: str
-    moment: np.ndarray
-    angle: np.ndarray
-    velocity: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return int(self.moment.shape[0])
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.subject, self.task, self.trial)
-
-
-@dataclass
 class FeatureMatrix:
     """Rows of concatenated moment|angle|velocity vectors with labels."""
 
@@ -272,9 +248,6 @@ class SampleTable:
         in_ids = np.isin(self.keys[:, ("subject", "task", "trial").index(column)],
                          list(ids))
         return in_ids[self.codes]
-
-    def trial_keys(self) -> list[tuple[str, str, str]]:
-        return [tuple(k) for k in self.keys[np.unique(self.codes)].tolist()]
 
     def subject_set(self) -> set[str]:
         return set(self.keys[np.unique(self.codes), 0].tolist())
@@ -366,53 +339,123 @@ def _open_csv(path: str | Path, expected_header: list[str]):
     return fh, reader
 
 
-def _parse_float(token: str, path: Path, lineno: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise DataFormatError(
-            f"{path}: line {lineno}: malformed value {token!r} in column {column}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataFormatError(
-            f"{path}: line {lineno}: non-finite value in column {column}"
-        )
-    return value
+def _parse_number(token: str, parse: type) -> float | int | None:
+    """``token`` as ``np.loadtxt`` reads it into a float64 or an int64, or None.
 
-
-def _check_ids(subject: str, task: str, trial: str, manifest: TaskManifest,
-               path: Path, lineno: int) -> None:
-    if not subject or not task or not trial:
-        raise DataFormatError(
-            f"{path}: line {lineno}: empty subject/task/trial identifier"
-        )
-    if task not in manifest:
-        raise DataFormatError(
-            f"{path}: line {lineno}: unknown task id {task!r} (not in manifest)"
-        )
-
-
-def _read_columns(
-    path: str | Path, header: list[str], fields: list[tuple],
-) -> np.ndarray | None:
-    """All data rows of a CSV in one ``np.loadtxt`` pass, or None if numpy gives up.
-
-    Each record holds the three identifier strings in field ``ids`` and
-    the numbers in ``fields``. None means numpy refused a row or found no
-    data row; the caller's row-by-row loader then names the bad line, or
-    accepts what numpy's stricter number grammar refused (``1_0``,
-    full-width digits).
+    ``parse`` is ``float`` or ``int``. Python's parser on the stripped
+    token, less what numpy refuses: non-ASCII characters (full-width
+    digits), ``_`` separators, and integers outside int64.
     """
+    t = token.strip()
+    if not t.isascii() or "_" in t:
+        return None
+    try:
+        value = parse(t)
+    except ValueError:
+        return None
+    return value if parse is float or -2**63 <= value < 2**63 else None
+
+
+def _raise_first_bad_row(path: str | Path, header: list[str],
+                         manifest: TaskManifest) -> None:
+    """Raise the :class:`DataFormatError` that names the first bad row of a CSV.
+
+    The loaders call this when the one-pass read or its array checks
+    fail. It walks the rows with ``csv.reader``, numbered from line 2
+    (blank rows count, and an id holding a newline does not add one),
+    and checks each in turn: width, ids, each number in column order
+    (numpy's grammar, and finite in rows of kept tasks), then a
+    repeated ``sample_index`` or a ``time_s`` that does not increase
+    within its trial. Then each profile trial, in sorted order, needs
+    two or more samples indexed from 0 without a gap. Returns only for
+    a file without data rows.
+    """
+    path = Path(path)
+    fh, reader = _open_csv(path, header)
+    profiles = header == PROFILE_COLUMNS
+    seen: dict = {}  # per kept trial: its sample indices, or its last time
+    has_rows = False
+    with fh:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            has_rows = True
+            at = f"{path}: line {lineno}"
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{at}: expected {len(header)} columns, got {len(row)}")
+            key = tuple(row[:3])
+            if not all(key):
+                raise DataFormatError(f"{at}: empty subject/task/trial identifier")
+            if key[1] not in manifest:
+                raise DataFormatError(
+                    f"{at}: unknown task id {key[1]!r} (not in manifest)")
+            kept = not manifest[key[1]].excluded
+            for column, token in zip(header[3:], row[3:]):
+                is_index = column == "sample_index"
+                value = _parse_number(token, int if is_index else float)
+                if value is None:
+                    raise DataFormatError(f"{at}: malformed " + (
+                        f"sample_index {token!r}" if is_index
+                        else f"value {token!r} in column {column}"))
+                if kept and not math.isfinite(value):
+                    raise DataFormatError(f"{at}: non-finite value in column {column}")
+            if not kept:
+                continue
+            start = _parse_number(row[3], int if profiles else float)  # index or time
+            if profiles:
+                indices = seen.setdefault(key, set())
+                if start in indices:
+                    raise DataFormatError(
+                        f"{at}: duplicate sample_index {start} for trial {key!r}")
+                indices.add(start)
+            elif start <= seen.get(key, -math.inf):
+                raise DataFormatError(
+                    f"{at}: time_s not strictly increasing within trial {key!r}")
+            else:
+                seen[key] = start
+    for key in sorted(seen) if profiles else ():
+        n = len(seen[key])
+        if n < 2:
+            raise DataFormatError(
+                f"{path}: trial {key!r} has {n} sample(s); need at least 2")
+        if seen[key] != set(range(n)):
+            raise DataFormatError(
+                f"{path}: trial {key!r}: sample_index not contiguous from 0")
+    if has_rows:
+        raise DataFormatError(
+            f"{path}: numpy could not read the file as CSV, yet no row breaks a rule")
+
+
+def _read_trials(
+    path: str | Path, header: list[str], fields: list[tuple], manifest: TaskManifest,
+) -> tuple[np.ndarray, list[tuple[str, str, str]], np.ndarray, Counter]:
+    """All data rows of a CSV in one ``np.loadtxt`` pass, ranked by trial.
+
+    Returns the records, each with the three identifier strings in field
+    ``ids`` and the numbers in ``fields``, then what :func:`_group_trials`
+    returns. If numpy refuses a row or an id is bad,
+    :func:`_raise_first_bad_row` names it; a file without data rows
+    gives no records.
+    """
+    dtype = [("ids", "O", (3,)), *fields]
     fh, _ = _open_csv(path, header)
     with fh, warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns on a file without data rows
         try:
             # The structured dtype rejects rows of the wrong width, and
             # comments=None keeps ids that hold '#'.
-            return np.loadtxt(fh, dtype=[("ids", "O", (3,)), *fields],
-                              delimiter=",", quotechar='"', comments=None, ndmin=1)
+            records = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                 comments=None, ndmin=1)
         except (ValueError, Warning):
-            return None
+            records = None
+    if records is None:
+        _raise_first_bad_row(path, header, manifest)
+        records = np.zeros(0, dtype=dtype)
+    grouped = _group_trials(records["ids"], manifest)
+    if grouped is None:
+        _raise_first_bad_row(path, header, manifest)
+    return records, *grouped
 
 
 def _group_trials(
@@ -425,8 +468,8 @@ def _group_trials(
     per task; or None if an id is empty or a task is not in the manifest.
     Python runs once per run of rows with equal ids, not once per row.
     """
-    n = ids.shape[0]
-    starts = np.flatnonzero(np.r_[True, (ids[1:] != ids[:-1]).any(axis=1)])
+    n = ids.shape[0]  # may be 0: then there is no run
+    starts = np.flatnonzero(np.r_[n > 0, (ids[1:] != ids[:-1]).any(axis=1)])
     lengths = np.diff(np.r_[starts, n])
     trial_of: dict[tuple[str, str, str], int] = {}
     run_trial = np.array([trial_of.setdefault(tuple(key), len(trial_of))
@@ -445,27 +488,52 @@ def _group_trials(
     return keys, np.repeat(trial_rank[run_trial], lengths), excluded
 
 
+def _resample_trials(values: np.ndarray, first: np.ndarray, counts: np.ndarray,
+                     target_length: int) -> np.ndarray:
+    """Feature rows of consecutive trials: each column resampled, then concatenated.
+
+    ``values`` holds the trials' samples one after another (one column
+    per signal); trial i has ``counts[i]`` of them from row ``first[i]``.
+    Trials of equal length share one grid, so each length is one array
+    operation. It is ``np.interp``'s formula with its rules for a grid
+    point on a sample and past the last one, so each row equals
+    :func:`resample_linear` of its trial bit for bit.
+    """
+    rows = np.empty((counts.size, values.shape[1], target_length))
+    for n in np.unique(counts).tolist():
+        trials = np.flatnonzero(counts == n)
+        block = values[first[trials, None] + np.arange(n)]  # (trials, n, signals)
+        grid = np.arange(target_length) * ((n - 1) / (target_length - 1))
+        j = np.minimum(grid.astype(np.intp), n - 2)
+        lo = block[:, j]
+        with np.errstate(over="ignore", invalid="ignore"):  # as silent as np.interp
+            out = (block[:, j + 1] - lo) * (grid - j)[:, None] + lo
+        # A grid point on a sample takes the sample (so a trial already at
+        # target_length is copied), and one at or past the end the last sample.
+        out[:, grid == j] = lo[:, grid == j]
+        out[:, grid >= n - 1] = block[:, -1:]
+        rows[trials] = out.transpose(0, 2, 1)
+    return rows.reshape(counts.size, values.shape[1] * target_length)
+
+
 def load_profiles(
     path: str | Path,
     manifest: TaskManifest,
     target_length: int = 100,
-) -> tuple[list[CycleProfile], IngestStats]:
-    """Load, validate, and resample cycle profiles from a long-format CSV.
+) -> tuple[FeatureMatrix, IngestStats]:
+    """Load and validate cycle profiles into the n x 3L feature matrix.
 
-    Rows of excluded tasks are dropped (counted in the returned stats);
-    every remaining trial is resampled to ``target_length`` samples.
-    Profiles come back sorted by (subject, task, trial). The file is
-    parsed in one ``np.loadtxt`` pass and checked with array operations;
-    if either fails, the row-by-row loader runs and raises its error.
+    Rows of excluded tasks are dropped (counted in the returned stats).
+    Each kept trial gives one row, in (subject, task, trial) order: its
+    moment, angle and velocity, each resampled to ``target_length``
+    samples as :func:`resample_linear` does. The file is parsed in one
+    ``np.loadtxt`` pass and checked with array operations; if either
+    fails, the error names the first bad row.
     """
     if target_length < 2:
         raise ValueError(f"target_length must be >= 2, got {target_length}")
-    records = _read_columns(path, PROFILE_COLUMNS,
-                            [("i", "i8"), ("v", "f8", (3,))])
-    grouped = None if records is None else _group_trials(records["ids"], manifest)
-    if grouped is None:
-        return _load_profiles_checked(path, manifest, target_length)
-    keys, rank, excluded = grouped
+    records, keys, rank, excluded = _read_trials(
+        path, PROFILE_COLUMNS, [("i", "i8"), ("v", "f8", (3,))], manifest)
     n_kept = rank.size - sum(excluded.values())
     order = np.lexsort((records["i"], rank))[:n_kept]
     idx, values = records["i"][order], records["v"][order]
@@ -476,149 +544,34 @@ def load_profiles(
     # 0, 1, ..., n-1: no duplicate and no gap.
     if (counts.min(initial=2) < 2 or not np.isfinite(values).all()
             or not np.array_equal(idx, np.arange(n_kept) - np.repeat(first, counts))):
-        return _load_profiles_checked(path, manifest, target_length)
-    profiles = [
-        CycleProfile(*key, *(resample_linear(v, target_length)
-                             for v in values[a : a + c].T))
-        for key, a, c in zip(keys, first.tolist(), counts.tolist())
-    ]
-    return profiles, IngestStats(rows_read=rank.size, rows_excluded_task=excluded,
-                                 n_items=len(profiles))
-
-
-def _load_profiles_checked(
-    path: str | Path,
-    manifest: TaskManifest,
-    target_length: int,
-) -> tuple[list[CycleProfile], IngestStats]:
-    """Row-by-row :func:`load_profiles`: names the line of the first bad row."""
-    path = Path(path)
-    fh, reader = _open_csv(path, PROFILE_COLUMNS)
-    stats = IngestStats()
-    trials: dict[tuple[str, str, str], dict[int, tuple[float, float, float]]] = {}
-    try:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PROFILE_COLUMNS):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(PROFILE_COLUMNS)} columns, got {len(row)}"
-                )
-            subject, task, trial = row[0], row[1], row[2]
-            _check_ids(subject, task, trial, manifest, path, lineno)
-            stats.rows_read += 1
-            if manifest[task].excluded:
-                stats.rows_excluded_task[task] += 1
-                continue
-            try:
-                idx = int(row[3])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: malformed sample_index {row[3]!r}"
-                ) from None
-            values = tuple(
-                _parse_float(row[i], path, lineno, PROFILE_COLUMNS[i])
-                for i in range(4, 7)
-            )
-            samples = trials.setdefault((subject, task, trial), {})
-            if idx in samples:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: duplicate sample_index {idx} "
-                    f"for trial {(subject, task, trial)!r}"
-                )
-            samples[idx] = values
-    finally:
-        fh.close()
-
-    profiles: list[CycleProfile] = []
-    for key in sorted(trials):
-        samples = trials[key]
-        n = len(samples)
-        if n < 2:
-            raise DataFormatError(
-                f"{path}: trial {key!r} has {n} sample(s); need at least 2"
-            )
-        if set(samples) != set(range(n)):
-            raise DataFormatError(
-                f"{path}: trial {key!r}: sample_index not contiguous from 0"
-            )
-        ordered = np.array([samples[i] for i in range(n)], dtype=float)
-        profiles.append(
-            CycleProfile(
-                subject=key[0],
-                task=key[1],
-                trial=key[2],
-                moment=resample_linear(ordered[:, 0], target_length),
-                angle=resample_linear(ordered[:, 1], target_length),
-                velocity=resample_linear(ordered[:, 2], target_length),
-            )
-        )
-    stats.n_items = len(profiles)
-    return profiles, stats
+        _raise_first_bad_row(path, PROFILE_COLUMNS, manifest)
+    matrix = FeatureMatrix(rows=_resample_trials(values, first, counts, target_length),
+                           row_labels=keys)
+    return matrix, IngestStats(rows_read=rank.size, rows_excluded_task=excluded,
+                               n_items=len(keys))
 
 
 def exclude_subjects(
-    profiles: Sequence[CycleProfile],
+    matrix: FeatureMatrix,
     min_cyclic_trials: int,
     manifest: TaskManifest,
-) -> tuple[list[CycleProfile], SubjectExclusionReport]:
-    """Drop subjects with fewer than ``min_cyclic_trials`` cyclic-task trials."""
-    cyclic_counts: Counter = Counter()
-    subjects = sorted({p.subject for p in profiles})
-    for p in profiles:
-        if manifest.is_cyclic(p.task):
-            cyclic_counts[p.subject] += 1
+) -> tuple[FeatureMatrix, SubjectExclusionReport]:
+    """Drop the rows of subjects with fewer than ``min_cyclic_trials`` cyclic-task trials."""
+    subjects = sorted({s for s, _, _ in matrix.row_labels})
+    cyclic_counts = Counter(s for s, task, _ in matrix.row_labels
+                            if manifest.is_cyclic(task))
     dropped = [(s, cyclic_counts[s]) for s in subjects
                if cyclic_counts[s] < min_cyclic_trials]
     dropped_set = {s for s, _ in dropped}
-    kept = [p for p in profiles if p.subject not in dropped_set]
+    keep = [s not in dropped_set for s, _, _ in matrix.row_labels]
+    kept = FeatureMatrix(rows=matrix.rows[np.array(keep, dtype=bool)],
+                         row_labels=[key for key, k in zip(matrix.row_labels, keep) if k])
     report = SubjectExclusionReport(
         min_cyclic_trials=min_cyclic_trials,
         dropped=dropped,
         kept_subjects=[s for s in subjects if s not in dropped_set],
     )
     return kept, report
-
-
-def build_feature_matrix(profiles: Sequence[CycleProfile]) -> FeatureMatrix:
-    """Stack profiles into the n x 3L analysis matrix.
-
-    Row order is sorted by (subject, task, trial); each row is the
-    moment vector followed by angle and velocity.
-    """
-    if not profiles:
-        raise ValueError("cannot build a feature matrix from zero profiles")
-    lengths = {p.length for p in profiles}
-    if len(lengths) != 1:
-        raise ValueError(f"profiles have mismatched lengths: {sorted(lengths)}")
-    keys = [p.key for p in profiles]
-    if len(set(keys)) != len(keys):
-        seen = Counter(keys)
-        dup = next(k for k, c in seen.items() if c > 1)
-        raise ValueError(f"duplicate (subject, task, trial) triple: {dup!r}")
-    ordered = sorted(profiles, key=lambda p: p.key)
-    rows = np.stack(
-        [np.concatenate([p.moment, p.angle, p.velocity]) for p in ordered]
-    )
-    return FeatureMatrix(rows=rows, row_labels=[p.key for p in ordered])
-
-
-def unpack_row(matrix: FeatureMatrix, i: int) -> CycleProfile:
-    """Inverse of the row construction in :func:`build_feature_matrix`."""
-    d = matrix.d
-    if d % 3 != 0:
-        raise ValueError(f"row width {d} is not divisible by 3")
-    length = d // 3
-    subject, task, trial = matrix.row_labels[i]
-    row = matrix.rows[i]
-    return CycleProfile(
-        subject=subject,
-        task=task,
-        trial=trial,
-        moment=row[:length].copy(),
-        angle=row[length : 2 * length].copy(),
-        velocity=row[2 * length :].copy(),
-    )
 
 
 def load_sensor_samples(
@@ -631,15 +584,10 @@ def load_sensor_samples(
     their file order within a trial; time must be strictly increasing
     within each trial. Excluded-task rows are dropped and counted. The
     file is parsed in one ``np.loadtxt`` pass and checked with array
-    operations; if either fails, the row-by-row loader runs and raises
-    its error.
+    operations; if either fails, the error names the first bad row.
     """
-    records = _read_columns(path, SENSOR_COLUMNS,
-                            [("v", "f8", (len(SENSOR_COLUMNS) - 3,))])
-    grouped = None if records is None else _group_trials(records["ids"], manifest)
-    if grouped is None:
-        return _load_sensor_samples_checked(path, manifest)
-    keys, rank, excluded = grouped
+    records, keys, rank, excluded = _read_trials(
+        path, SENSOR_COLUMNS, [("v", "f8", (len(SENSOR_COLUMNS) - 3,))], manifest)
     order = np.argsort(rank, kind="stable")[: rank.size - sum(excluded.values())]
     flat = records["v"]
     x, y, times = (flat[order, 1 : 1 + SENSOR_INPUT_DIM], flat[order, -1],
@@ -649,64 +597,7 @@ def load_sensor_samples(
     in_trial = row_rank[1:] == row_rank[:-1]
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(times).all()
             and (times[1:] > times[:-1])[in_trial].all()):
-        return _load_sensor_samples_checked(path, manifest)
+        _raise_first_bad_row(path, SENSOR_COLUMNS, manifest)
     table = _sample_table(x, y, times, keys, np.bincount(row_rank, minlength=len(keys)))
     return table, IngestStats(rows_read=rank.size, rows_excluded_task=excluded,
                               n_items=table.n)
-
-
-def _load_sensor_samples_checked(
-    path: str | Path,
-    manifest: TaskManifest,
-) -> tuple[SampleTable, IngestStats]:
-    """Row-by-row :func:`load_sensor_samples`: names the line of the first bad row."""
-    path = Path(path)
-    fh, reader = _open_csv(path, SENSOR_COLUMNS)
-    stats = IngestStats()
-    values = array("d")  # per row: time, the inputs, the target
-    row_trial = array("q")  # per row: index into trial_ids
-    trial_ids: dict[tuple[str, str, str], int] = {}
-    last_time: list[float] = []
-    try:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SENSOR_COLUMNS):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(SENSOR_COLUMNS)} columns, got {len(row)}"
-                )
-            subject, task, trial = row[0], row[1], row[2]
-            _check_ids(subject, task, trial, manifest, path, lineno)
-            stats.rows_read += 1
-            if manifest[task].excluded:
-                stats.rows_excluded_task[task] += 1
-                continue
-            floats = [_parse_float(row[i], path, lineno, SENSOR_COLUMNS[i])
-                      for i in range(3, len(SENSOR_COLUMNS))]
-            key = (subject, task, trial)
-            t = trial_ids.get(key)
-            if t is None:
-                t = trial_ids[key] = len(last_time)
-                last_time.append(-math.inf)
-            if floats[0] <= last_time[t]:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: time_s not strictly increasing "
-                    f"within trial {key!r}"
-                )
-            last_time[t] = floats[0]
-            values.extend(floats)
-            row_trial.append(t)
-    finally:
-        fh.close()
-
-    keys = sorted(trial_ids)
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[[trial_ids[k] for k in keys]] = np.arange(len(keys))
-    row_rank = rank[np.asarray(row_trial)]
-    order = np.argsort(row_rank, kind="stable")
-    flat = np.asarray(values).reshape(-1, len(SENSOR_COLUMNS) - 3)
-    table = _sample_table(flat[order, 1 : 1 + SENSOR_INPUT_DIM], flat[order, -1],
-                          flat[order, 0], keys,
-                          np.bincount(row_rank, minlength=len(keys)))
-    stats.n_items = table.n
-    return table, stats

@@ -259,10 +259,6 @@ class FcnnModel:
         model.input_std = _exact_array(raw.get("input_std"), dim, "input_std")
         return model
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n",
-                              encoding="utf-8")
-
     @classmethod
     def load(cls, path: str | Path) -> "FcnnModel":
         try:

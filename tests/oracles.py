@@ -1,14 +1,29 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library code paths they check: the
-eigensolver is a hand-rolled cyclic Jacobi sweep, and the k-means
-oracle enumerates every possible assignment.
+eigensolver is a hand-rolled cyclic Jacobi sweep, the k-means oracle
+enumerates every possible assignment, and the CSV loaders read one row
+at a time and resample one trial at a time.
 """
 
 import itertools
 import math
+from array import array
+from pathlib import Path
 
 import numpy as np
+
+from taskopt.dataset import (
+    PROFILE_COLUMNS,
+    SENSOR_COLUMNS,
+    SENSOR_INPUT_DIM,
+    DataFormatError,
+    FeatureMatrix,
+    IngestStats,
+    _open_csv,
+    _sample_table,
+    resample_linear,
+)
 
 
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
@@ -112,3 +127,152 @@ REFERENCE_REPRESENTATIVES = {
     "Tire Run", "Lift Weight", "Stairs Up", "Jump", "Normal Walk",
     "Stairs Down", "Cutting", "Sit to Stand",
 }
+
+
+def _parse_number(token, parse, path, lineno, what):
+    """``parse(token)`` in numpy's number grammar: no non-ASCII, no ``_``, int64."""
+    t = token.strip()
+    try:
+        if not t.isascii() or "_" in t:
+            raise ValueError(token)
+        value = parse(t)
+        if parse is int and not -2**63 <= value < 2**63:
+            raise ValueError(token)
+    except ValueError:
+        raise DataFormatError(f"{path}: line {lineno}: malformed {what}") from None
+    return value
+
+
+def _parse_float(token, path, lineno, column, finite):
+    value = _parse_number(token, float, path, lineno,
+                          f"value {token!r} in column {column}")
+    if finite and not math.isfinite(value):
+        raise DataFormatError(
+            f"{path}: line {lineno}: non-finite value in column {column}"
+        )
+    return value
+
+
+def _check_ids(subject, task, trial, manifest, path, lineno):
+    if not subject or not task or not trial:
+        raise DataFormatError(
+            f"{path}: line {lineno}: empty subject/task/trial identifier"
+        )
+    if task not in manifest:
+        raise DataFormatError(
+            f"{path}: line {lineno}: unknown task id {task!r} (not in manifest)"
+        )
+
+
+def load_profiles_rowwise(path, manifest, target_length):
+    """Row-by-row ``load_profiles``: one row, then one trial, at a time."""
+    path = Path(path)
+    fh, reader = _open_csv(path, PROFILE_COLUMNS)
+    stats = IngestStats()
+    trials = {}
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(PROFILE_COLUMNS):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {len(PROFILE_COLUMNS)} columns, got {len(row)}"
+                )
+            subject, task, trial = row[0], row[1], row[2]
+            _check_ids(subject, task, trial, manifest, path, lineno)
+            stats.rows_read += 1
+            kept = not manifest[task].excluded
+            idx = _parse_number(row[3], int, path, lineno, f"sample_index {row[3]!r}")
+            values = tuple(
+                _parse_float(row[i], path, lineno, PROFILE_COLUMNS[i], kept)
+                for i in range(4, 7)
+            )
+            if not kept:
+                stats.rows_excluded_task[task] += 1
+                continue
+            samples = trials.setdefault((subject, task, trial), {})
+            if idx in samples:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: duplicate sample_index {idx} "
+                    f"for trial {(subject, task, trial)!r}"
+                )
+            samples[idx] = values
+    finally:
+        fh.close()
+
+    rows = []
+    for key in sorted(trials):
+        samples = trials[key]
+        n = len(samples)
+        if n < 2:
+            raise DataFormatError(
+                f"{path}: trial {key!r} has {n} sample(s); need at least 2"
+            )
+        if set(samples) != set(range(n)):
+            raise DataFormatError(
+                f"{path}: trial {key!r}: sample_index not contiguous from 0"
+            )
+        ordered = np.array([samples[i] for i in range(n)], dtype=float)
+        rows.append(np.concatenate([resample_linear(ordered[:, c], target_length)
+                                    for c in range(3)]))
+    stats.n_items = len(rows)
+    matrix = FeatureMatrix(
+        rows=np.array(rows).reshape(len(rows), 3 * target_length),
+        row_labels=sorted(trials),
+    )
+    return matrix, stats
+
+
+def load_sensor_samples_rowwise(path, manifest):
+    """Row-by-row ``load_sensor_samples``."""
+    path = Path(path)
+    fh, reader = _open_csv(path, SENSOR_COLUMNS)
+    stats = IngestStats()
+    values = array("d")  # per row: time, the inputs, the target
+    row_trial = array("q")  # per row: index into trial_ids
+    trial_ids = {}
+    last_time = []
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(SENSOR_COLUMNS):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {len(SENSOR_COLUMNS)} columns, got {len(row)}"
+                )
+            subject, task, trial = row[0], row[1], row[2]
+            _check_ids(subject, task, trial, manifest, path, lineno)
+            stats.rows_read += 1
+            kept = not manifest[task].excluded
+            floats = [_parse_float(row[i], path, lineno, SENSOR_COLUMNS[i], kept)
+                      for i in range(3, len(SENSOR_COLUMNS))]
+            if not kept:
+                stats.rows_excluded_task[task] += 1
+                continue
+            key = (subject, task, trial)
+            t = trial_ids.get(key)
+            if t is None:
+                t = trial_ids[key] = len(last_time)
+                last_time.append(-math.inf)
+            if floats[0] <= last_time[t]:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: time_s not strictly increasing "
+                    f"within trial {key!r}"
+                )
+            last_time[t] = floats[0]
+            values.extend(floats)
+            row_trial.append(t)
+    finally:
+        fh.close()
+
+    keys = sorted(trial_ids)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[[trial_ids[k] for k in keys]] = np.arange(len(keys))
+    row_rank = rank[np.asarray(row_trial)]
+    order = np.argsort(row_rank, kind="stable")
+    flat = np.asarray(values).reshape(-1, len(SENSOR_COLUMNS) - 3)
+    table = _sample_table(flat[order, 1 : 1 + SENSOR_INPUT_DIM], flat[order, -1],
+                          flat[order, 0], keys,
+                          np.bincount(row_rank, minlength=len(keys)))
+    stats.n_items = table.n
+    return table, stats

@@ -185,7 +185,7 @@ def test_end_to_end_one_representative_per_cluster(synthetic_study):
         from taskopt.cluster import ClusterModel
 
         model = ClusterModel.from_json(out_dir / "cluster_model.json")
-        labels = _read_row_labels(out_dir / "row_labels.csv")
+        labels = _read_row_labels(out_dir / "row_labels.csv", len(model.assignments))
         planted = [ground_truth["task_clusters"][t] for _, t, _ in labels]
         assert adjusted_rand_index(planted, model.assignments) >= 0.9
 

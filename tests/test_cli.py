@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from taskopt.cli import _read_row_labels, _safe_name, _stats_payload, main
@@ -254,6 +255,54 @@ class TestBadSensors:
         assert f"dropping {len(extra)} sensor row(s) of subject s,99" in caplog.text
 
 
+class TestBadIngestArtifacts:
+    """A damaged matrix or label file is named, with exit 2, where a stage reads it."""
+
+    def _damage_then(self, tmp_path, caplog, upstream, name, damage, command):
+        config_path, out_dir = _small_synth(tmp_path)
+        for stage in upstream:
+            assert main([stage, "--config", str(config_path)]) == 0
+        damage(out_dir / name)
+        assert main([command, "--config", str(config_path)]) == 2
+        assert "unexpected failure" not in caplog.text
+        assert str(out_dir / name) in caplog.text
+        return out_dir
+
+    def test_cluster_rejects_row_labels_cut_short(self, tmp_path, caplog):
+        def cut(path):
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:4]))
+
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest"], "row_labels.csv",
+                                    cut, "cluster")
+        assert "expected 72 rows of 3 cells" in caplog.text
+        assert not (out_dir / "pca_scores.csv").exists()
+
+    def test_select_rejects_header_only_row_labels(self, tmp_path, caplog):
+        def header_only(path):
+            path.write_text("subject,task,trial\n")
+
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster"],
+                                    "row_labels.csv", header_only, "select")
+        assert "expected 72 rows of 3 cells" in caplog.text
+        assert not (out_dir / "conditions.json").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        ("text", "not a saved numpy array"),
+        (np.zeros(72), "expected a 2-D float array, got 1-D float64"),
+        (np.array([["a"] * 3] * 72), "expected a 2-D float array, got 2-D <U1"),
+    ], ids=["text", "1-D", "strings"])
+    def test_cluster_rejects_bad_matrix(self, tmp_path, caplog, content, message):
+        def replace(path):
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                np.save(path, content)
+
+        self._damage_then(tmp_path, caplog, ["ingest"], "feature_matrix.npy",
+                          replace, "cluster")
+        assert message in caplog.text
+
+
 class TestSingleCondition:
     def test_stats_note_for_single_condition(self, tmp_path, caplog):
         config_path, out_dir = _small_synth(tmp_path)
@@ -292,10 +341,10 @@ class TestOddIds:
                 csv.writer(fh, lineterminator="\n").writerows(rows)
         for command in ("ingest", "cluster", "select"):
             assert main([command, "--config", str(config_path)]) == 0, command
-        labels = _read_row_labels(out_dir / "row_labels.csv")
-        assert {s for s, _, _ in labels} == {odd, "s02", "s03", "s04"}
         with (out_dir / "pca_scores.csv").open(newline="") as fh:
             header, *scores = list(csv.reader(fh))
+        labels = _read_row_labels(out_dir / "row_labels.csv", len(scores))
+        assert {s for s, _, _ in labels} == {odd, "s02", "s03", "s04"}
         assert [tuple(row[:3]) for row in scores] == labels
         assert {len(row) for row in scores} == {len(header)}
 

@@ -6,29 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import profile_rows, sensor_row, write_profile_csv, write_sensor_csv
+from oracles import load_profiles_rowwise, load_sensor_samples_rowwise
 from taskopt import dataset
 from taskopt.dataset import (
     PROFILE_COLUMNS,
     SENSOR_COLUMNS,
     DataFormatError,
+    FeatureMatrix,
     TaskInfo,
     TaskManifest,
-    build_feature_matrix,
     default_task_manifest,
     exclude_subjects,
     load_profiles,
     load_sensor_samples,
     resample_linear,
-    unpack_row,
 )
 
 LOADERS = {
     "profiles": (PROFILE_COLUMNS, lambda p, m: load_profiles(p, m, 5),
-                 lambda p, m: dataset._load_profiles_checked(p, m, 5)),
-    "sensors": (SENSOR_COLUMNS, load_sensor_samples,
-                dataset._load_sensor_samples_checked),
+                 lambda p, m: load_profiles_rowwise(p, m, 5)),
+    "sensors": (SENSOR_COLUMNS, load_sensor_samples, load_sensor_samples_rowwise),
 }
 # Each value replaces one number cell of one row.
 NUMBER_TOKENS = {"underscore": "1_0", "full-width digit": "\uff11", "nan": "nan",
@@ -91,9 +91,9 @@ def _outcome(load, path, manifest):
         result, stats = load(path, manifest)
     except DataFormatError as exc:
         return str(exc)
-    if isinstance(result, list):
-        return stats, [(p.key, p.moment.tobytes(), p.angle.tobytes(),
-                        p.velocity.tobytes()) for p in result]
+    if isinstance(result, FeatureMatrix):
+        rows = result.rows
+        return stats, (rows.dtype, rows.shape, rows.tobytes()), result.row_labels
     columns = (result.x, result.y, result.times, result.codes)
     return stats, [(a.dtype, a.shape, a.tobytes()) for a in columns], \
         result.keys.tolist()
@@ -156,10 +156,9 @@ class TestLoadProfiles:
     def test_basic_load_and_resample(self, tmp_path, small_manifest):
         rows = profile_rows("s1", "walk", "t1", [0.0, 1.0, 2.0, 3.0])
         write_profile_csv(tmp_path / "p.csv", rows)
-        profiles, stats = load_profiles(tmp_path / "p.csv", small_manifest, 7)
-        assert len(profiles) == 1
-        assert np.allclose(profiles[0].moment, [0, 0.5, 1, 1.5, 2, 2.5, 3])
-        assert profiles[0].length == 7
+        matrix, stats = load_profiles(tmp_path / "p.csv", small_manifest, 7)
+        assert matrix.rows.shape == (1, 21)
+        assert np.allclose(matrix.rows[0, :7], [0, 0.5, 1, 1.5, 2, 2.5, 3])
         assert stats.rows_read == 4
 
     def test_missing_file(self, tmp_path, small_manifest):
@@ -217,8 +216,8 @@ class TestLoadProfiles:
         rows = profile_rows("s1", "walk", "t1", [0.0, 1.0])
         rows += profile_rows("s1", "wiggle", "t1", [0.0, 1.0, 2.0])
         write_profile_csv(tmp_path / "p.csv", rows)
-        profiles, stats = load_profiles(tmp_path / "p.csv", small_manifest, 5)
-        assert [p.task for p in profiles] == ["walk"]
+        matrix, stats = load_profiles(tmp_path / "p.csv", small_manifest, 5)
+        assert [task for _, task, _ in matrix.row_labels] == ["walk"]
         assert stats.rows_excluded_task == {"wiggle": 3}
 
     def test_deterministic_order(self, tmp_path, small_manifest):
@@ -226,112 +225,147 @@ class TestLoadProfiles:
         rows += profile_rows("s1", "jump", "t2", [1.0, 2.0])
         rows += profile_rows("s1", "jump", "t1", [1.0, 2.0])
         write_profile_csv(tmp_path / "p.csv", rows)
-        profiles, _ = load_profiles(tmp_path / "p.csv", small_manifest, 4)
-        assert [p.key for p in profiles] == [
+        matrix, _ = load_profiles(tmp_path / "p.csv", small_manifest, 4)
+        assert matrix.row_labels == [
             ("s1", "jump", "t1"), ("s1", "jump", "t2"), ("s2", "walk", "t1"),
         ]
 
 
 class TestFeatureMatrix:
-    def _profiles(self, small_manifest, tmp_path, n_tasks=2):
+    def test_shape(self, small_manifest, tmp_path):
         rows = []
         for subject in ("s1", "s2"):
-            for task in ("walk", "jump")[:n_tasks]:
-                rows += profile_rows(subject, task, "t1",
-                                     list(np.linspace(0, 1, 4)))
+            rows += profile_rows(subject, "walk", "t1", list(np.linspace(0, 1, 4)))
         write_profile_csv(tmp_path / "p.csv", rows)
-        profiles, _ = load_profiles(tmp_path / "p.csv", small_manifest, 100)
-        return profiles
-
-    def test_shape(self, small_manifest, tmp_path):
-        profiles = self._profiles(small_manifest, tmp_path, n_tasks=1)
-        matrix = build_feature_matrix(profiles)
+        matrix, _ = load_profiles(tmp_path / "p.csv", small_manifest, 100)
         assert matrix.rows.shape == (2, 300)
         assert matrix.row_labels == [("s1", "walk", "t1"), ("s2", "walk", "t1")]
 
-    def test_concatenation_order(self):
-        from taskopt.dataset import CycleProfile
-        p = CycleProfile("s", "t", "1",
-                         moment=np.array([1.0, 2.0]),
-                         angle=np.array([3.0, 4.0]),
-                         velocity=np.array([5.0, 6.0]))
-        matrix = build_feature_matrix([p])
+    def test_concatenation_order(self, small_manifest, tmp_path):
+        # At its native length a trial is copied: moment, then angle, then velocity.
+        write_profile_csv(tmp_path / "p.csv", profile_rows(
+            "s", "walk", "1", [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]))
+        matrix, _ = load_profiles(tmp_path / "p.csv", small_manifest, 2)
         assert np.array_equal(matrix.rows[0], [1, 2, 3, 4, 5, 6])
 
-    def test_duplicate_triple_rejected(self):
-        from taskopt.dataset import CycleProfile
-        p = CycleProfile("s", "t", "1", np.zeros(3), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError, match="duplicate"):
-            build_feature_matrix([p, p])
+    def test_duplicate_triple_rejected(self, small_manifest, tmp_path):
+        # A trial written twice repeats its sample indices; a trial whose
+        # rows are split up by another trial's still gives one row.
+        walk = profile_rows("s", "walk", "1", [0.0, 1.0])
+        write_profile_csv(tmp_path / "p.csv", walk + walk)
+        with pytest.raises(DataFormatError, match="line 4: duplicate sample_index 0"):
+            load_profiles(tmp_path / "p.csv", small_manifest, 3)
+        jump = profile_rows("s", "jump", "1", [0.0, 1.0])
+        write_profile_csv(tmp_path / "p.csv", [walk[0], *jump, walk[1]])
+        matrix, _ = load_profiles(tmp_path / "p.csv", small_manifest, 3)
+        assert matrix.row_labels == [("s", "jump", "1"), ("s", "walk", "1")]
 
-    def test_mismatched_lengths(self):
-        from taskopt.dataset import CycleProfile
-        p1 = CycleProfile("s", "t", "1", np.zeros(3), np.zeros(3), np.zeros(3))
-        p2 = CycleProfile("s", "t", "2", np.zeros(4), np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError, match="mismatched"):
-            build_feature_matrix([p1, p2])
+    def test_mismatched_lengths(self, small_manifest, tmp_path):
+        # Trials of different native lengths all become rows of 3 x target_length.
+        rows = profile_rows("s", "walk", "1", [0.0, 1.0, 4.0])
+        rows += profile_rows("s", "walk", "2", [0.0, 1.0, 2.0, 3.0, 5.0, 8.0])
+        write_profile_csv(tmp_path / "p.csv", rows)
+        matrix, _ = load_profiles(tmp_path / "p.csv", small_manifest, 5)
+        assert matrix.rows.shape == (2, 15)
+        assert np.array_equal(matrix.rows[0, :5], resample_linear([0.0, 1.0, 4.0], 5))
+        assert np.array_equal(matrix.rows[1, :5],
+                              resample_linear([0.0, 1.0, 2.0, 3.0, 5.0, 8.0], 5))
 
-    def test_empty(self):
-        with pytest.raises(ValueError, match="zero profiles"):
-            build_feature_matrix([])
+    def test_empty(self, small_manifest, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(",".join(PROFILE_COLUMNS) + "\n")
+        matrix, stats = load_profiles(path, small_manifest, 4)
+        assert matrix.rows.shape == (0, 12) and matrix.row_labels == []
+        assert stats.n_items == 0
+        kept, report = exclude_subjects(matrix, 1, small_manifest)
+        assert kept.n == 0 and report.all_dropped
 
     def test_row_unpack_round_trip(self, small_manifest, tmp_path):
-        profiles = self._profiles(small_manifest, tmp_path)
-        matrix = build_feature_matrix(profiles)
-        for i in range(matrix.n):
-            back = unpack_row(matrix, i)
-            original = next(p for p in profiles if p.key == back.key)
-            assert np.array_equal(back.moment, original.moment)
-            assert np.array_equal(back.angle, original.angle)
-            assert np.array_equal(back.velocity, original.velocity)
+        # Each row splits back into its trial's resampled moment, angle and velocity.
+        rng = np.random.default_rng(0)
+        signals, rows = {}, []
+        for n, key in enumerate([("s1", "walk", "t1"), ("s1", "jump", "t1"),
+                                 ("s2", "walk", "t1")], start=3):
+            signals[key] = rng.normal(size=(3, n))
+            rows += profile_rows(*key, *signals[key])
+        write_profile_csv(tmp_path / "p.csv", rows)
+        matrix, _ = load_profiles(tmp_path / "p.csv", small_manifest, 7)
+        assert sorted(signals) == matrix.row_labels
+        for key, row in zip(matrix.row_labels, matrix.rows):
+            for back, signal in zip(row.reshape(3, 7), signals[key]):
+                assert np.array_equal(back, resample_linear(signal, 7))
 
     def test_ingest_deterministic(self, small_manifest, tmp_path):
         rows = profile_rows("s1", "walk", "t1", [0.1, 0.7, 0.3])
         write_profile_csv(tmp_path / "a.csv", rows)
         write_profile_csv(tmp_path / "b.csv", rows)
-        pa, _ = load_profiles(tmp_path / "a.csv", small_manifest, 50)
-        pb, _ = load_profiles(tmp_path / "b.csv", small_manifest, 50)
-        ma = build_feature_matrix(pa)
-        mb = build_feature_matrix(pb)
+        ma, _ = load_profiles(tmp_path / "a.csv", small_manifest, 50)
+        mb, _ = load_profiles(tmp_path / "b.csv", small_manifest, 50)
         assert ma.rows.tobytes() == mb.rows.tobytes()
         assert ma.row_labels == mb.row_labels
 
 
+class TestResampleTrials:
+    """All trials of one length are resampled in one array operation."""
+
+    # (n, L) where the grid's last point rounds past n - 1, as np.interp's
+    # right-edge rule must then give the last sample.
+    PAST_END = [(n, L) for n in range(2, 40) for L in range(2, 60)
+                if (L - 1) * ((n - 1) / (L - 1)) > n - 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_resample_linear_bit_for_bit(self, data):
+        n, target = data.draw(st.sampled_from(self.PAST_END) | st.tuples(
+            st.integers(2, 40), st.integers(2, 60)))
+        lengths = data.draw(st.lists(st.sampled_from([n, 2, target])
+                                     | st.integers(2, 40), min_size=1, max_size=6))
+        values = data.draw(hnp.arrays(float, (sum(lengths), 2), elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        starts = np.cumsum(lengths) - lengths
+        rows = dataset._resample_trials(values, starts, np.array(lengths), target)
+        assert rows.shape == (len(lengths), 2 * target)
+        for row, a, c in zip(rows, starts, lengths):
+            expected = np.concatenate([resample_linear(values[a : a + c, k], target)
+                                       for k in range(2)])
+            assert row.tobytes() == expected.tobytes()
+
+
 class TestExcludeSubjects:
-    def _make(self, small_manifest, counts):
+    def _make(self, counts):
         """counts: subject -> number of cyclic trials (plus one jump trial each)."""
-        from taskopt.dataset import CycleProfile
-        profiles = []
+        labels = []
         for subject, n in counts.items():
-            for i in range(n):
-                profiles.append(CycleProfile(subject, "walk", f"t{i}",
-                                             np.zeros(3), np.zeros(3), np.zeros(3)))
-            profiles.append(CycleProfile(subject, "jump", "t0",
-                                         np.zeros(3), np.zeros(3), np.zeros(3)))
-        return profiles
+            labels += [(subject, "walk", f"t{i}") for i in range(n)]
+            labels.append((subject, "jump", "t0"))
+        rows = np.arange(3.0 * len(labels)).reshape(-1, 3)
+        return FeatureMatrix(rows=rows, row_labels=labels)
 
     def test_subject_below_threshold_dropped(self, small_manifest):
-        profiles = self._make(small_manifest, {"a": 0, "b": 2})
-        kept, report = exclude_subjects(profiles, 1, small_manifest)
-        assert {p.subject for p in kept} == {"b"}
+        matrix = self._make({"a": 0, "b": 2})
+        kept, report = exclude_subjects(matrix, 1, small_manifest)
+        assert kept.row_labels == matrix.row_labels[1:]
+        assert np.array_equal(kept.rows, matrix.rows[1:])
         assert report.dropped == [("a", 0)]
         assert report.kept_subjects == ["b"]
 
     def test_all_meet_threshold(self, small_manifest):
-        profiles = self._make(small_manifest, {"a": 2, "b": 2})
-        kept, report = exclude_subjects(profiles, 2, small_manifest)
-        assert kept == profiles
+        matrix = self._make({"a": 2, "b": 2})
+        kept, report = exclude_subjects(matrix, 2, small_manifest)
+        assert kept.row_labels == matrix.row_labels
+        assert np.array_equal(kept.rows, matrix.rows)
         assert report.dropped == []
 
     def test_zero_threshold_keeps_everyone(self, small_manifest):
-        profiles = self._make(small_manifest, {"a": 0, "b": 0})
-        kept, report = exclude_subjects(profiles, 0, small_manifest)
-        assert kept == profiles
+        matrix = self._make({"a": 0, "b": 0})
+        kept, report = exclude_subjects(matrix, 0, small_manifest)
+        assert kept.row_labels == matrix.row_labels
+        assert np.array_equal(kept.rows, matrix.rows)
 
     def test_empty_result_flagged(self, small_manifest):
-        profiles = self._make(small_manifest, {"a": 0})
-        kept, report = exclude_subjects(profiles, 5, small_manifest)
-        assert kept == []
+        matrix = self._make({"a": 0})
+        kept, report = exclude_subjects(matrix, 5, small_manifest)
+        assert kept.row_labels == [] and kept.rows.shape == (0, 3)
         assert report.all_dropped
 
 
@@ -441,7 +475,8 @@ class TestFastPath:
 
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     @pytest.mark.parametrize("corruption, expected", [
-        ("underscore", None), ("full-width digit", None), ("padded", None),
+        ("underscore", "line 6: malformed"), ("full-width digit", "line 6: malformed"),
+        ("padded", None),
         ("nan", "line 6: non-finite value"), ("inf", "line 6: non-finite value"),
         ("empty id", "line 6: empty subject/task/trial"),
         ("unknown task", "line 6: unknown task id 'fly'"),
@@ -464,6 +499,28 @@ class TestFastPath:
                 load(path, small_manifest)
 
     @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_cells_checked_in_column_order(self, tmp_path, small_manifest, kind):
+        # A non-finite cell before a malformed one is the error named.
+        header = LOADERS[kind][0]
+        rows = _trial_rows(kind, ("s1", "walk", "t1"), [[0.5] * (len(header) - 4)] * 2)
+        rows[1][4], rows[1][5] = "inf", "x"
+        path = tmp_path / "in.csv"
+        _write_case(path, kind, rows, None, 0, 0, 0)
+        _assert_same(kind, path, small_manifest)
+        with pytest.raises(DataFormatError,
+                           match=f"line 3: non-finite value in column {header[4]}"):
+            LOADERS[kind][1](path, small_manifest)
+
+    def test_bad_trials_checked_in_sorted_order(self, tmp_path, small_manifest):
+        # s2's one sample comes first in the file, but s1's gap sorts first.
+        rows = profile_rows("s2", "walk", "t1", [0.0])
+        rows += [("s1", "walk", "t1", 0, 0.0, 0.0, 0.0), ("s1", "walk", "t1", 2, 1.0, 0.0, 0.0)]
+        write_profile_csv(tmp_path / "p.csv", rows)
+        _assert_same("profiles", tmp_path / "p.csv", small_manifest)
+        with pytest.raises(DataFormatError, match="'s1', 'walk', 't1'.*not contiguous"):
+            load_profiles(tmp_path / "p.csv", small_manifest, 5)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_clean_file_needs_no_fallback(self, tmp_path, small_manifest, monkeypatch,
                                           kind):
         path = tmp_path / "in.csv"
@@ -472,14 +529,27 @@ class TestFastPath:
         expected = _outcome(checked, path, small_manifest)
 
         def fail(*args):
-            raise AssertionError("fell back to the row-by-row loader")
+            raise AssertionError("called the bad-row locator")
 
-        monkeypatch.setattr(dataset, "_load_profiles_checked", fail)
-        monkeypatch.setattr(dataset, "_load_sensor_samples_checked", fail)
+        monkeypatch.setattr(dataset, "_raise_first_bad_row", fail)
         assert _outcome(load, path, small_manifest) == expected
 
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_refused_file_without_bad_row_never_loads_empty(
+            self, tmp_path, small_manifest, monkeypatch, kind):
+        # Should numpy and csv.reader ever disagree on a file, it is an error.
+        path = tmp_path / "in.csv"
+        _write_case(path, kind, self._rows(kind), None, 0, 0, 0)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(dataset.np, "loadtxt", refuse)
+        with pytest.raises(DataFormatError, match="no row breaks a rule"):
+            LOADERS[kind][1](path, small_manifest)
+
     @pytest.mark.parametrize("load", [load_sensor_samples,
-                                      dataset._load_sensor_samples_checked])
+                                      load_sensor_samples_rowwise])
     def test_codes_rank_sorted_keys(self, tmp_path, small_manifest, load):
         rows = self._rows("sensors")
         path = tmp_path / "in.csv"
@@ -500,7 +570,7 @@ class TestFastPath:
             warnings.simplefilter("always")
             result, stats = LOADERS[kind][1](path, small_manifest)
         assert caught == []
-        assert len(result) == 0 if kind == "profiles" else result.n == 0
+        assert result.n == 0
         assert stats.rows_read == 0
 
     @settings(max_examples=150, deadline=None,
@@ -528,6 +598,65 @@ class TestFastPath:
         path = tmp_path / "in.csv"
         _write_case(path, kind, rows, corruption, r, c, pos)
         _assert_same(kind, path, small_manifest)
+
+
+class TestNumberGrammar:
+    """The bad-row locator reads numbers as ``np.loadtxt`` does."""
+
+    # Unicode whitespace, a control character Python strips, and
+    # non-ASCII digits (Arabic-Indic one, full-width one).
+    ODD = ["\u00a0", "\u2009", "\u3000", "\x1c", "\x85", "\v", "\f", "\t", " ",
+           "\u0661", "\uff11"]
+    TOKENS = (st.text(st.sampled_from([*"0123456789+-.eE_infatyINFATY", *ODD]), max_size=10)
+              | st.integers(-2**66, 2**66).map(str))
+
+    @staticmethod
+    def _numpy_reads(token, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                np.loadtxt(["s,t,r," + token], dtype=[("ids", "O", (3,)), ("x", dtype)],
+                           delimiter=",", quotechar='"', comments=None, ndmin=1)
+            except (ValueError, Warning):
+                return False
+        return True
+
+    @settings(max_examples=600, deadline=None)
+    @given(token=TOKENS)
+    def test_accepts_exactly_what_loadtxt_accepts(self, token):
+        for dtype, parse in (("f8", float), ("i8", int)):
+            accepted = dataset._parse_number(token, parse) is not None
+            assert accepted == self._numpy_reads(token, dtype), (token, dtype)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_underscore_number_is_malformed(self, tmp_path, small_manifest, kind):
+        # Python's float() reads "1_0" as 10; numpy, and so the loaders, refuse it.
+        header, load, _ = LOADERS[kind]
+        rows = _trial_rows(kind, ("s1", "walk", "t1"), [[0.5] * (len(header) - 4)] * 2)
+        rows[1][5] = "1_0"
+        path = tmp_path / "in.csv"
+        _write_case(path, kind, rows, None, 0, 0, 0)
+        with pytest.raises(DataFormatError,
+                           match=f"line 3: malformed value '1_0' in column {header[5]}"):
+            load(path, small_manifest)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_malformed_number_in_excluded_row(self, tmp_path, small_manifest, kind):
+        # Excluded rows are read too, so their numbers must parse; they
+        # need not be finite or ordered.
+        header, load, _ = LOADERS[kind]
+        width = len(header) - 4
+        rows = _trial_rows(kind, ("s1", "walk", "t1"), [[0.5] * width] * 2)
+        rows += _trial_rows(kind, ("s1", "wiggle", "t1"), [[float("nan")] * width] * 2)
+        rows[3][3] = rows[2][3]  # a repeated index or time
+        path = tmp_path / "in.csv"
+        _write_case(path, kind, rows, None, 0, 0, 0)
+        load(path, small_manifest)
+        rows[3][4] = "abc"
+        _write_case(path, kind, rows, None, 0, 0, 0)
+        with pytest.raises(DataFormatError,
+                           match=f"line 5: malformed value 'abc' in column {header[4]}"):
+            load(path, small_manifest)
 
 
 class TestManifest:

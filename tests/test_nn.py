@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -391,7 +392,9 @@ class TestCheckpoint:
         y = rng.normal(size=32)
         model, _ = train(model, (x[:24], y[:24]), (x[24:], y[24:]),
                          dataclasses_replace(config, max_epochs=3, patience=3))
-        model.save(tmp_path / "model.json")
+        # The checkpoint as ``taskopt train`` writes it.
+        (tmp_path / "model.json").write_text(
+            json.dumps(model.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
         back = FcnnModel.load(tmp_path / "model.json")
         assert np.array_equal(back.predict(x), model.predict(x))
         for key in model.params:

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from taskopt.cluster import select_k
-from taskopt.dataset import (
-    TaskManifest,
-    build_feature_matrix,
-    load_profiles,
-    load_sensor_samples,
-)
+from taskopt.dataset import TaskManifest, load_profiles, load_sensor_samples
 from taskopt.errors import TaskOptError
 from taskopt.pca import pca_fit, pca_transform, select_components
 from taskopt.synth import SynthSpec, generate
@@ -60,9 +55,8 @@ class TestStructure:
         )
         result = generate(spec, tmp_path / "d")
         manifest = TaskManifest.from_json(result.tasks_path)
-        profiles, _ = load_profiles(result.profiles_path, manifest,
-                                    spec.cycle_length)
-        matrix = build_feature_matrix(profiles)
+        matrix, _ = load_profiles(result.profiles_path, manifest,
+                                  spec.cycle_length)
         clusters = np.array([result.task_clusters[t]
                              for _, t, _ in matrix.row_labels])
         centroids = {g: matrix.rows[clusters == g].mean(axis=0)
@@ -81,9 +75,8 @@ class TestStructure:
                                    subject_effect_std=0.0)
         result = generate(spec, tmp_path / "d")
         manifest = TaskManifest.from_json(result.tasks_path)
-        profiles, _ = load_profiles(result.profiles_path, manifest,
-                                    spec.cycle_length)
-        matrix = build_feature_matrix(profiles)
+        matrix, _ = load_profiles(result.profiles_path, manifest,
+                                  spec.cycle_length)
         model = pca_fit(matrix)
         p, _ = select_components(model, 0.70)
         scores = pca_transform(model, matrix, p)
@@ -107,19 +100,18 @@ class TestEmittedFiles:
     def test_loaders_accept_output(self, tmp_path):
         result = generate(TINY, tmp_path / "d")
         manifest = TaskManifest.from_json(result.tasks_path)
-        profiles, pstats = load_profiles(result.profiles_path, manifest,
-                                         TINY.cycle_length)
+        matrix, pstats = load_profiles(result.profiles_path, manifest,
+                                       TINY.cycle_length)
         table, sstats = load_sensor_samples(result.sensors_path, manifest)
-        assert len(profiles) == TINY.n_subjects * TINY.n_tasks * TINY.profile_trials
+        assert matrix.n == TINY.n_subjects * TINY.n_tasks * TINY.profile_trials
         n = TINY.n_subjects * TINY.n_tasks * TINY.sensor_trials * TINY.sensor_samples
         assert table.x.shape == (n, 14)
         keys = list(zip(table.subjects, table.tasks, table.trials))
         assert keys == sorted(keys)  # grouped by trial, trials in sorted order
-        assert len(table.trial_keys()) == (TINY.n_subjects * TINY.n_tasks
-                                           * TINY.sensor_trials)
+        assert len(np.unique(table.codes)) == (TINY.n_subjects * TINY.n_tasks
+                                               * TINY.sensor_trials)
         assert sstats.rows_read == n and sstats.rows_excluded_task == {}
         assert pstats.rows_excluded_task == {}
-        matrix = build_feature_matrix(profiles)
         assert matrix.d == 3 * TINY.cycle_length
 
     def test_ground_truth_contents(self, tmp_path):
