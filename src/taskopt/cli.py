@@ -148,9 +148,12 @@ def _read_feature_matrix(out: Path) -> tuple[np.ndarray, list[tuple[str, str, st
     """The ingest stage's matrix and its row labels, checked against each other."""
     path = _require(out / FEATURE_MATRIX, "ingest")
     try:
-        rows = np.load(path)
+        with path.open("rb") as fh:
+            rows = np.load(fh)
     except (OSError, ValueError, EOFError) as exc:
         raise DataFormatError(f"{path}: not a saved numpy array ({exc})") from exc
+    if not isinstance(rows, np.ndarray):  # an .npz archive
+        raise DataFormatError(f"{path}: expected a 2-D float array, got {type(rows).__name__}")
     if rows.ndim != 2 or rows.dtype.kind != "f":
         raise DataFormatError(f"{path}: expected a 2-D float array, "
                               f"got {rows.ndim}-D {rows.dtype}")

@@ -488,34 +488,6 @@ def _group_trials(
     return keys, np.repeat(trial_rank[run_trial], lengths), excluded
 
 
-def _resample_trials(values: np.ndarray, first: np.ndarray, counts: np.ndarray,
-                     target_length: int) -> np.ndarray:
-    """Feature rows of consecutive trials: each column resampled, then concatenated.
-
-    ``values`` holds the trials' samples one after another (one column
-    per signal); trial i has ``counts[i]`` of them from row ``first[i]``.
-    Trials of equal length share one grid, so each length is one array
-    operation. It is ``np.interp``'s formula with its rules for a grid
-    point on a sample and past the last one, so each row equals
-    :func:`resample_linear` of its trial bit for bit.
-    """
-    rows = np.empty((counts.size, values.shape[1], target_length))
-    for n in np.unique(counts).tolist():
-        trials = np.flatnonzero(counts == n)
-        block = values[first[trials, None] + np.arange(n)]  # (trials, n, signals)
-        grid = np.arange(target_length) * ((n - 1) / (target_length - 1))
-        j = np.minimum(grid.astype(np.intp), n - 2)
-        lo = block[:, j]
-        with np.errstate(over="ignore", invalid="ignore"):  # as silent as np.interp
-            out = (block[:, j + 1] - lo) * (grid - j)[:, None] + lo
-        # A grid point on a sample takes the sample (so a trial already at
-        # target_length is copied), and one at or past the end the last sample.
-        out[:, grid == j] = lo[:, grid == j]
-        out[:, grid >= n - 1] = block[:, -1:]
-        rows[trials] = out.transpose(0, 2, 1)
-    return rows.reshape(counts.size, values.shape[1] * target_length)
-
-
 def load_profiles(
     path: str | Path,
     manifest: TaskManifest,
@@ -526,7 +498,7 @@ def load_profiles(
     Rows of excluded tasks are dropped (counted in the returned stats).
     Each kept trial gives one row, in (subject, task, trial) order: its
     moment, angle and velocity, each resampled to ``target_length``
-    samples as :func:`resample_linear` does. The file is parsed in one
+    samples with :func:`resample_linear`. The file is parsed in one
     ``np.loadtxt`` pass and checked with array operations; if either
     fails, the error names the first bad row.
     """
@@ -545,8 +517,10 @@ def load_profiles(
     if (counts.min(initial=2) < 2 or not np.isfinite(values).all()
             or not np.array_equal(idx, np.arange(n_kept) - np.repeat(first, counts))):
         _raise_first_bad_row(path, PROFILE_COLUMNS, manifest)
-    matrix = FeatureMatrix(rows=_resample_trials(values, first, counts, target_length),
-                           row_labels=keys)
+    rows = np.empty((len(keys), 3 * target_length))
+    for row, a, c in zip(rows, first.tolist(), counts.tolist()):
+        row[:] = np.concatenate([resample_linear(v, target_length) for v in values[a : a + c].T])
+    matrix = FeatureMatrix(rows=rows, row_labels=keys)
     return matrix, IngestStats(rows_read=rank.size, rows_excluded_task=excluded,
                                n_items=len(keys))
 

@@ -290,11 +290,15 @@ class TestBadIngestArtifacts:
         ("text", "not a saved numpy array"),
         (np.zeros(72), "expected a 2-D float array, got 1-D float64"),
         (np.array([["a"] * 3] * 72), "expected a 2-D float array, got 2-D <U1"),
-    ], ids=["text", "1-D", "strings"])
+        ({"rows": np.zeros((72, 3))}, "expected a 2-D float array, got NpzFile"),
+    ], ids=["text", "1-D", "strings", "npz"])
     def test_cluster_rejects_bad_matrix(self, tmp_path, caplog, content, message):
         def replace(path):
             if isinstance(content, str):
                 path.write_text(content)
+            elif isinstance(content, dict):
+                with path.open("wb") as fh:
+                    np.savez(fh, **content)
             else:
                 np.save(path, content)
 

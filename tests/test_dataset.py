@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from conftest import profile_rows, sensor_row, write_profile_csv, write_sensor_csv
 from oracles import load_profiles_rowwise, load_sensor_samples_rowwise
@@ -303,32 +302,6 @@ class TestFeatureMatrix:
         mb, _ = load_profiles(tmp_path / "b.csv", small_manifest, 50)
         assert ma.rows.tobytes() == mb.rows.tobytes()
         assert ma.row_labels == mb.row_labels
-
-
-class TestResampleTrials:
-    """All trials of one length are resampled in one array operation."""
-
-    # (n, L) where the grid's last point rounds past n - 1, as np.interp's
-    # right-edge rule must then give the last sample.
-    PAST_END = [(n, L) for n in range(2, 40) for L in range(2, 60)
-                if (L - 1) * ((n - 1) / (L - 1)) > n - 1]
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_resample_linear_bit_for_bit(self, data):
-        n, target = data.draw(st.sampled_from(self.PAST_END) | st.tuples(
-            st.integers(2, 40), st.integers(2, 60)))
-        lengths = data.draw(st.lists(st.sampled_from([n, 2, target])
-                                     | st.integers(2, 40), min_size=1, max_size=6))
-        values = data.draw(hnp.arrays(float, (sum(lengths), 2), elements=st.floats(
-            allow_nan=False, allow_infinity=False)))
-        starts = np.cumsum(lengths) - lengths
-        rows = dataset._resample_trials(values, starts, np.array(lengths), target)
-        assert rows.shape == (len(lengths), 2 * target)
-        for row, a, c in zip(rows, starts, lengths):
-            expected = np.concatenate([resample_linear(values[a : a + c, k], target)
-                                       for k in range(2)])
-            assert row.tobytes() == expected.tobytes()
 
 
 class TestExcludeSubjects:
