@@ -160,6 +160,17 @@ def _read_feature_matrix(out: Path) -> tuple[np.ndarray, list[tuple[str, str, st
     return rows, _read_row_labels(_require(out / ROW_LABELS, "ingest"), rows.shape[0])
 
 
+def _read_kept_subjects(path: Path) -> set[str]:
+    """The subjects that ``ingest`` kept, from its report."""
+    try:
+        kept = json.loads(path.read_text(encoding="utf-8"))["exclusion"]["kept_subjects"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: no exclusion.kept_subjects ({exc!r})") from exc
+    if not isinstance(kept, list) or not all(isinstance(s, str) for s in kept):
+        raise DataFormatError(f"{path}: exclusion.kept_subjects is not a list of ids")
+    return set(kept)
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -324,11 +335,12 @@ def cmd_select(cfg: RunConfig, config_path: Path) -> None:
 
 def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
     out = _out_dir(cfg)
-    conditions = read_conditions_json(_require(out / CONDITIONS, "select"))
-    ingest_report = json.loads(
-        _require(out / INGEST_REPORT, "ingest").read_text(encoding="utf-8")
-    )
-    kept_subjects = set(ingest_report["exclusion"]["kept_subjects"])
+    conditions_path = _require(out / CONDITIONS, "select")
+    conditions = read_conditions_json(conditions_path)
+    missing = [name for name in cfg.study.conditions if name not in conditions]
+    if missing:
+        raise DataFormatError(f"{conditions_path}: no condition(s) {missing}")
+    kept_subjects = _read_kept_subjects(_require(out / INGEST_REPORT, "ingest"))
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
     kept = samples.isin("subject", kept_subjects)

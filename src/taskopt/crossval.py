@@ -189,6 +189,7 @@ def _run_fold(samples: SampleTable, subjects: Sequence[str], job: FoldJob):
                                              seed=fold_seed)
     except InsufficientTrialsError as exc:
         return "skipped", str(exc)
+    del pool  # the split copied its rows: free them before training
     for side in (train_tab, val_tab):
         if side.isin("subject", [left_out]).any():
             raise RuntimeError(f"subject {left_out!r} leaked into training data")

@@ -325,18 +325,27 @@ def _open_csv(path: str | Path, expected_header: list[str]):
     if not path.exists():
         raise DataFormatError(f"file not found: {path}")
     fh = path.open("r", encoding="utf-8", newline="")
-    reader = csv.reader(fh)
+    reader = _utf8_rows(path, csv.reader(fh))
     try:
-        header = next(reader)
-    except StopIteration:
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file, expected header row")
+        if header != expected_header:
+            raise DataFormatError(
+                f"{path}: line 1: bad header {header!r}, expected {expected_header!r}")
+    except DataFormatError:
         fh.close()
-        raise DataFormatError(f"{path}: empty file, expected header row")
-    if header != expected_header:
-        fh.close()
-        raise DataFormatError(
-            f"{path}: line 1: bad header {header!r}, expected {expected_header!r}"
-        )
+        raise
     return fh, reader
+
+
+def _utf8_rows(path: Path, reader):
+    """The rows of ``reader``; text that is not UTF-8 is a DataFormatError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason}: "
+                              f"{exc.object[exc.start:exc.end]!r})") from exc
 
 
 def _parse_number(token: str, parse: type) -> float | int | None:

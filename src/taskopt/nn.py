@@ -146,55 +146,14 @@ class FcnnModel:
         a = self._normalize(x)
         eps = self.config.bn_eps
         for i in range(self.n_hidden):
-            z = a @ self.params[f"h{i}.W"] + self.params[f"h{i}.b"]
-            zhat = (z - self.buffers[f"h{i}.running_mean"]) / np.sqrt(
-                self.buffers[f"h{i}.running_var"] + eps
-            )
-            a = np.maximum(self.params[f"h{i}.gamma"] * zhat
-                           + self.params[f"h{i}.beta"], 0.0)
+            z = a @ self.params[f"h{i}.W"]
+            z += self.params[f"h{i}.b"]
+            z -= self.buffers[f"h{i}.running_mean"]
+            z /= np.sqrt(self.buffers[f"h{i}.running_var"] + eps)
+            z *= self.params[f"h{i}.gamma"]
+            z += self.params[f"h{i}.beta"]
+            a = np.maximum(z, 0.0, out=z)
         return a @ self.params["out.W"] + self.params["out.b"]
-
-    def _forward_train(
-        self, x: np.ndarray, masks: Sequence[np.ndarray] | None
-    ) -> tuple[np.ndarray, dict]:
-        """Training-mode forward returning the cache the backward pass needs.
-
-        Does not touch the running statistics: the batch mean and
-        variance go into ``cache["stats"]``, laid out like ``state``, and
-        the training loop folds them in so that gradient evaluation stays
-        pure.
-        """
-        if x.shape[0] < 2:
-            raise ValueError("training-mode forward needs a batch of at least 2")
-        eps = self.config.bn_eps
-        keep = 1.0 - self.config.dropout_rate
-        stats = np.empty_like(self.state)
-        batch_stats = _views(stats, self._state_shapes)
-        a = self._normalize(x)
-        cache: dict = {"layers": [], "stats": stats}
-        for i in range(self.n_hidden):
-            z = a @ self.params[f"h{i}.W"] + self.params[f"h{i}.b"]
-            mu = np.mean(z, axis=0, out=batch_stats[f"h{i}.running_mean"])
-            zc = z - mu
-            var = np.mean(zc * zc, axis=0, out=batch_stats[f"h{i}.running_var"])
-            invstd = 1.0 / np.sqrt(var + eps)
-            zhat = zc * invstd
-            bn_out = self.params[f"h{i}.gamma"] * zhat + self.params[f"h{i}.beta"]
-            r = np.maximum(bn_out, 0.0)
-            if self.config.dropout_rate > 0.0:
-                mask = masks[i]
-                out = r * mask / keep
-            else:
-                mask = None
-                out = r
-            cache["layers"].append({
-                "a_in": a, "invstd": invstd, "zhat": zhat, "bn_out": bn_out,
-                "mask": mask,
-            })
-            a = out
-        cache["a_last"] = a
-        pred = a @ self.params["out.W"] + self.params["out.b"]
-        return pred, cache
 
     def draw_dropout_masks(self, batch_size: int,
                            rng: np.random.Generator) -> list[np.ndarray] | None:
@@ -306,64 +265,104 @@ def loss_and_gradients(
     same loss surface can be re-evaluated (finite-difference checks).
     Running statistics are not modified.
     """
-    loss, grad, _ = _loss_grads_cache(model, x, y, masks)
-    return loss, _views(grad, model._shapes)
-
-
-def _loss_grads_cache(
-    model: FcnnModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    masks: Sequence[np.ndarray] | None,
-) -> tuple[float, np.ndarray, dict]:
-    """Loss, the flat gradient vector and the forward cache."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1, model.config.output_dim)
-    b = x.shape[0]
     if model.config.dropout_rate > 0.0 and masks is None:
         raise ValueError("dropout is active: pass the dropout masks")
-
-    pred, cache = model._forward_train(x, masks)
-    diff = pred - y
-    loss = float(np.mean(diff**2))
-
-    grad = np.empty_like(model.flat)
-    grads = _views(grad, model._shapes)
-    dpred = 2.0 * diff / diff.size
-    np.matmul(cache["a_last"].T, dpred, out=grads["out.W"])
-    dpred.sum(axis=0, out=grads["out.b"])
-    da = dpred @ model.params["out.W"].T
-
-    keep = 1.0 - model.config.dropout_rate
-    for i in reversed(range(model.n_hidden)):
-        layer = cache["layers"][i]
-        if layer["mask"] is not None:
-            dr = da * layer["mask"] / keep
-        else:
-            dr = da
-        dbn = dr * (layer["bn_out"] > 0.0)
-        zhat = layer["zhat"]
-        (dbn * zhat).sum(axis=0, out=grads[f"h{i}.gamma"])
-        dbn.sum(axis=0, out=grads[f"h{i}.beta"])
-        dzhat = dbn * model.params[f"h{i}.gamma"]
-        # Batch-norm backward including the batch-statistics terms.
-        dz = (layer["invstd"] / b) * (
-            b * dzhat - dzhat.sum(axis=0) - zhat * (dzhat * zhat).sum(axis=0)
-        )
-        np.matmul(layer["a_in"].T, dz, out=grads[f"h{i}.W"])
-        dz.sum(axis=0, out=grads[f"h{i}.b"])
-        da = dz @ model.params[f"h{i}.W"].T
-    return loss, grad, cache
+    if x.shape[0] < 2:
+        raise ValueError("training-mode forward needs a batch of at least 2")
+    backprop = _Backprop(model)
+    return backprop(model._normalize(x), y, masks), backprop.grads
 
 
-def _make_batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    batches = [order[i : i + batch_size] for i in range(0, order.size, batch_size)]
-    # A trailing singleton cannot feed batch norm; fold it into the
-    # previous batch.
-    if len(batches) > 1 and batches[-1].size == 1:
-        batches[-2] = np.concatenate([batches[-2], batches[-1]])
-        batches.pop()
-    return batches
+class _Backprop:
+    """Training-mode forward and backward pass of one model, with per-layer
+    views of the parameters, the gradient ``grad`` (laid out like ``flat``)
+    and the batch statistics ``stats`` (laid out like ``state``) built once.
+    A call on a normalised batch overwrites ``grad`` and ``stats`` and
+    returns the batch MSE. ReLU and dropout are one 0/1 factor ``act =
+    (bn > 0) & mask``: forward is ``bn * act / keep``, backward ``da * act / keep``.
+    """
+
+    def __init__(self, model: FcnnModel):
+        self.grad, self.stats = np.empty_like(model.flat), np.empty_like(model.state)
+        self.grads = g = _views(self.grad, model._shapes)
+        p, s = model.params, _views(self.stats, model._state_shapes)
+        names = [(p, "W"), (p, "b"), (p, "gamma"), (p, "beta"), (s, "running_mean"),
+                 (s, "running_var"), (g, "W"), (g, "b"), (g, "gamma"), (g, "beta")]
+        self.layers = [[views[f"h{i}.{name}"] for views, name in names]
+                       for i in range(model.n_hidden)]
+        self.out = (p["out.W"], p["out.b"], g["out.W"], g["out.b"])
+        self.eps, rate = model.config.bn_eps, model.config.dropout_rate
+        self.keep = 1.0 - rate if rate > 0.0 else None
+
+    def forward(self, a: np.ndarray, masks: Sequence[np.ndarray] | None):
+        """The last hidden activations, and ``(a_in, zhat, invstd, act)`` per layer."""
+        b, cache = a.shape[0], []
+        for i, (W, bias, gamma, beta, mu, var, *_) in enumerate(self.layers):
+            z = a @ W
+            z += bias
+            np.add.reduce(z, axis=0, out=mu)  # np.mean, bit for bit
+            mu /= b
+            z -= mu
+            out = z * z
+            np.add.reduce(out, axis=0, out=var)
+            var /= b
+            invstd = var + self.eps
+            np.divide(1.0, np.sqrt(invstd, out=invstd), out=invstd)
+            z *= invstd  # zhat
+            np.multiply(z, gamma, out=out)
+            out += beta
+            act = ((out > 0.0) & masks[i] if self.keep else out > 0.0).astype(float)
+            out *= act
+            if self.keep:
+                out /= self.keep
+            cache.append((a, z, invstd, act))
+            a = out
+        return a, cache
+
+    def __call__(self, a: np.ndarray, y: np.ndarray,
+                 masks: Sequence[np.ndarray] | None) -> float:
+        b = a.shape[0]
+        a_last, cache = self.forward(a, masks)
+        W_next, bias, gW, gb = self.out
+        d = a_last @ W_next
+        d += bias
+        d -= y
+        loss = float(np.add.reduce(d * d, axis=None) / d.size)  # np.mean(d**2)
+        d *= 2.0
+        d /= d.size  # d loss / d prediction
+        np.matmul(a_last.T, d, out=gW)
+        np.add.reduce(d, axis=0, out=gb)
+        for (a_in, zhat, invstd, act), (W, _, gamma, *_, gW, gb, ggamma, gbeta) \
+                in zip(reversed(cache), reversed(self.layers)):
+            d = d @ W_next.T
+            d *= act
+            if self.keep:
+                d /= self.keep  # d loss / d batch-norm output
+            tmp = d * zhat
+            np.add.reduce(tmp, axis=0, out=ggamma)
+            np.add.reduce(d, axis=0, out=gbeta)
+            d *= gamma  # dzhat; next, with the batch-statistics terms:
+            # dz = invstd / b * (b * dzhat - sum(dzhat) - zhat * sum(dzhat * zhat))
+            d_sum = np.add.reduce(d, axis=0)
+            np.multiply(d, zhat, out=tmp)
+            np.multiply(zhat, np.add.reduce(tmp, axis=0), out=tmp)
+            d *= b
+            d -= d_sum
+            d -= tmp
+            d *= invstd / b
+            np.matmul(a_in.T, d, out=gW)
+            np.add.reduce(d, axis=0, out=gb)
+            W_next = W
+        return loss
+
+
+def _batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
+    """(start, stop) of an epoch's batches, n >= 2. None starts at row n - 1:
+    a trailing singleton cannot feed batch norm, so it joins the one before."""
+    starts = list(range(0, n - 1, batch_size))
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def train(
@@ -377,6 +376,8 @@ def train(
     Epoch order is shuffled with a seeded generator; after each epoch
     the validation MSE is computed in eval mode. The best-validation
     weights (and running statistics) are restored before returning.
+    Each epoch gathers the shuffled rows into one buffer and normalises
+    them there, so a batch is a slice of it.
     """
     config = config or model.config
     config.validate()
@@ -397,47 +398,49 @@ def train(
         model.input_std = std
 
     rng = np.random.default_rng([config.seed, 1])
-    flat, state = model.flat, model.state
-    m = np.zeros_like(flat)  # Adam moments (Kingma & Ba 2015)
-    v = np.zeros_like(flat)
+    flat, state, backprop = model.flat, model.state, _Backprop(model)
+    grad, stats = backprop.grad, backprop.stats
+    x_epoch = np.empty(x_train.shape)  # C order, as a gathered batch is
+    # Adam (Kingma & Ba 2015): moments m, v and two work vectors.
+    m, v, u, w = (np.zeros_like(flat) for _ in range(4))
+    beta1, beta2, lr = config.beta1, config.beta2, config.learning_rate
     momentum = model.config.bn_momentum
     history = TrainHistory()
     best = (flat.copy(), state.copy())
-    epochs_since_best = 0
-    step = 0
+    epochs_since_best = step = 0
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
-        epoch_losses = []
-        for batch_idx in _make_batches(order, config.batch_size):
-            xb = x_train[batch_idx]
-            yb = y_train[batch_idx]
-            masks = model.draw_dropout_masks(xb.shape[0], rng)
-            loss, g, cache = _loss_grads_cache(model, xb, yb, masks)
+        np.take(x_train, order, axis=0, out=x_epoch, mode="clip")  # no temporary
+        x_epoch -= model.input_mean  # model._normalize, in place
+        x_epoch /= model.input_std
+        y_epoch, epoch_losses = y_train[order], []
+        for start, stop in _batch_bounds(n, config.batch_size):
+            masks = model.draw_dropout_masks(stop - start, rng)
+            loss = backprop(x_epoch[start:stop], y_epoch[start:stop].reshape(
+                -1, model.config.output_dim), masks)
             if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite training loss at epoch {epoch}"
-                )
+                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+            stats *= momentum
             state *= 1.0 - momentum
-            state += momentum * cache["stats"]
+            state += stats
             epoch_losses.append(loss)
 
+            # flat -= lr * (m / bias1) / (sqrt(v / bias2) + eps), op for op.
             step += 1
-            bias1 = 1.0 - config.beta1**step
-            bias2 = 1.0 - config.beta2**step
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * g**2
-            flat -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2)
-                                                          + config.adam_eps)
+            m *= beta1
+            m += np.multiply(grad, 1.0 - beta1, out=u)
+            v *= beta2
+            v += np.multiply(np.square(grad, out=u), 1.0 - beta2, out=u)
+            np.multiply(np.divide(m, 1.0 - beta1**step, out=u), lr, out=u)
+            np.sqrt(np.divide(v, 1.0 - beta2**step, out=w), out=w)
+            w += config.adam_eps
+            flat -= np.divide(u, w, out=u)
 
         val_mse = mse(model.predict(x_val), y_val)
         if not math.isfinite(val_mse):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
-        history.records.append(
-            EpochRecord(epoch, float(np.mean(epoch_losses)), val_mse)
-        )
+        history.records.append(EpochRecord(epoch, float(np.mean(epoch_losses)), val_mse))
         if val_mse < history.best_val_mse:
             history.best_val_mse = val_mse
             history.best_epoch = epoch

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import TaskManifest
+from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,19 @@ def write_conditions_json(conditions: Mapping[str, TaskSet], path: str | Path) -
 
 
 def read_conditions_json(path: str | Path) -> dict[str, TaskSet]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The conditions ``write_conditions_json`` wrote; DataFormatError if it
+    is not JSON or not ``{name: {"tasks": [task, ...], "source": text}}``."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(raw, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("source"), str)
+            and isinstance(entry.get("tasks"), list)
+            and all(isinstance(task, str) for task in entry["tasks"])
+            for entry in raw.values()):
+        raise DataFormatError(f'{path}: expected {{name: {{"tasks": [task, ...], '
+                              f'"source": text}}}}')
     return {
         name: TaskSet(name, tuple(entry["tasks"]), entry["source"])
         for name, entry in raw.items()

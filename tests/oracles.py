@@ -2,8 +2,9 @@
 
 These deliberately avoid the library code paths they check: the
 eigensolver is a hand-rolled cyclic Jacobi sweep, the k-means oracle
-enumerates every possible assignment, and the CSV loaders read one row
-at a time and resample one trial at a time.
+enumerates every possible assignment, the CSV loaders read one row
+at a time and resample one trial at a time, and the network trainer
+takes one unfused, freshly allocated step at a time.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from taskopt.dataset import (
     _sample_table,
     resample_linear,
 )
+from taskopt.nn import EpochRecord, TrainHistory, _views, mse
 
 
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
@@ -276,3 +278,176 @@ def load_sensor_samples_rowwise(path, manifest):
                           np.bincount(row_rank, minlength=len(keys)))
     stats.n_items = table.n
     return table, stats
+
+
+# ------------------------------------------------------------ network training
+#
+# The unfused training step that ``taskopt.nn`` once ran: every step
+# normalises its batch, rebuilds the named views, and keeps ReLU and
+# dropout as separate operations. ``nn.train`` and ``FcnnModel.predict``
+# must match these bit for bit.
+
+
+def forward_train_unfused(model, x, masks):
+    """Training-mode forward: the prediction and the cache for the backward pass."""
+    if x.shape[0] < 2:
+        raise ValueError("training-mode forward needs a batch of at least 2")
+    eps = model.config.bn_eps
+    keep = 1.0 - model.config.dropout_rate
+    stats = np.empty_like(model.state)
+    batch_stats = _views(stats, model._state_shapes)
+    a = (x - model.input_mean) / model.input_std
+    cache = {"layers": [], "stats": stats}
+    for i in range(model.n_hidden):
+        z = a @ model.params[f"h{i}.W"] + model.params[f"h{i}.b"]
+        mu = np.mean(z, axis=0, out=batch_stats[f"h{i}.running_mean"])
+        zc = z - mu
+        var = np.mean(zc * zc, axis=0, out=batch_stats[f"h{i}.running_var"])
+        invstd = 1.0 / np.sqrt(var + eps)
+        zhat = zc * invstd
+        bn_out = model.params[f"h{i}.gamma"] * zhat + model.params[f"h{i}.beta"]
+        r = np.maximum(bn_out, 0.0)
+        if model.config.dropout_rate > 0.0:
+            mask = masks[i]
+            out = r * mask / keep
+        else:
+            mask = None
+            out = r
+        cache["layers"].append({
+            "a_in": a, "invstd": invstd, "zhat": zhat, "bn_out": bn_out,
+            "mask": mask,
+        })
+        a = out
+    cache["a_last"] = a
+    pred = a @ model.params["out.W"] + model.params["out.b"]
+    return pred, cache
+
+
+def loss_grads_unfused(model, x, y, masks):
+    """Batch MSE, the flat gradient vector and the forward cache."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1, model.config.output_dim)
+    b = x.shape[0]
+    pred, cache = forward_train_unfused(model, x, masks)
+    diff = pred - y
+    loss = float(np.mean(diff**2))
+
+    grad = np.empty_like(model.flat)
+    grads = _views(grad, model._shapes)
+    dpred = 2.0 * diff / diff.size
+    np.matmul(cache["a_last"].T, dpred, out=grads["out.W"])
+    dpred.sum(axis=0, out=grads["out.b"])
+    da = dpred @ model.params["out.W"].T
+
+    keep = 1.0 - model.config.dropout_rate
+    for i in reversed(range(model.n_hidden)):
+        layer = cache["layers"][i]
+        if layer["mask"] is not None:
+            dr = da * layer["mask"] / keep
+        else:
+            dr = da
+        dbn = dr * (layer["bn_out"] > 0.0)
+        zhat = layer["zhat"]
+        (dbn * zhat).sum(axis=0, out=grads[f"h{i}.gamma"])
+        dbn.sum(axis=0, out=grads[f"h{i}.beta"])
+        dzhat = dbn * model.params[f"h{i}.gamma"]
+        dz = (layer["invstd"] / b) * (
+            b * dzhat - dzhat.sum(axis=0) - zhat * (dzhat * zhat).sum(axis=0)
+        )
+        np.matmul(layer["a_in"].T, dz, out=grads[f"h{i}.W"])
+        dz.sum(axis=0, out=grads[f"h{i}.b"])
+        da = dz @ model.params[f"h{i}.W"].T
+    return loss, grad, cache
+
+
+def forward_eval_unfused(model, x):
+    """Eval-mode forward with a new array for every intermediate."""
+    a = (x - model.input_mean) / model.input_std
+    eps = model.config.bn_eps
+    for i in range(model.n_hidden):
+        z = a @ model.params[f"h{i}.W"] + model.params[f"h{i}.b"]
+        zhat = (z - model.buffers[f"h{i}.running_mean"]) / np.sqrt(
+            model.buffers[f"h{i}.running_var"] + eps
+        )
+        a = np.maximum(model.params[f"h{i}.gamma"] * zhat
+                       + model.params[f"h{i}.beta"], 0.0)
+    return a @ model.params["out.W"] + model.params["out.b"]
+
+
+def predict_unfused(model, x, chunk=4096):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([forward_eval_unfused(model, x[i : i + chunk])
+                           for i in range(0, x.shape[0], chunk)])
+
+
+def make_batches(order, batch_size):
+    """Index arrays of the epoch's batches; a trailing singleton joins the last."""
+    batches = [order[i : i + batch_size] for i in range(0, order.size, batch_size)]
+    if len(batches) > 1 and batches[-1].size == 1:
+        batches[-2] = np.concatenate([batches[-2], batches[-1]])
+        batches.pop()
+    return batches
+
+
+def train_unfused(model, train_data, val_data, config=None):
+    """``nn.train`` one gathered batch and one unfused step at a time."""
+    config = config or model.config
+    x_train = np.asarray(train_data[0], dtype=float)
+    y_train = np.asarray(train_data[1], dtype=float).reshape(-1)
+    x_val = np.asarray(val_data[0], dtype=float)
+    y_val = np.asarray(val_data[1], dtype=float).reshape(-1)
+    n = x_train.shape[0]
+    if config.normalize_inputs:
+        std = x_train.std(axis=0)
+        std[std == 0.0] = 1.0
+        model.input_mean = x_train.mean(axis=0)
+        model.input_std = std
+
+    rng = np.random.default_rng([config.seed, 1])
+    flat, state = model.flat, model.state
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    momentum = model.config.bn_momentum
+    history = TrainHistory()
+    best = (flat.copy(), state.copy())
+    epochs_since_best = 0
+    step = 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for batch_idx in make_batches(order, config.batch_size):
+            xb = x_train[batch_idx]
+            yb = y_train[batch_idx]
+            masks = model.draw_dropout_masks(xb.shape[0], rng)
+            loss, g, cache = loss_grads_unfused(model, xb, yb, masks)
+            state *= 1.0 - momentum
+            state += momentum * cache["stats"]
+            epoch_losses.append(loss)
+
+            step += 1
+            bias1 = 1.0 - config.beta1**step
+            bias2 = 1.0 - config.beta2**step
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            v *= config.beta2
+            v += (1.0 - config.beta2) * g**2
+            flat -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2)
+                                                          + config.adam_eps)
+
+        val_mse = mse(predict_unfused(model, x_val), y_val)
+        history.records.append(
+            EpochRecord(epoch, float(np.mean(epoch_losses)), val_mse)
+        )
+        if val_mse < history.best_val_mse:
+            history.best_val_mse = val_mse
+            history.best_epoch = epoch
+            best = (flat.copy(), state.copy())
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best >= config.patience:
+                history.stopped_early = True
+                break
+
+    flat[:], state[:] = best
+    return model, history

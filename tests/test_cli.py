@@ -307,6 +307,50 @@ class TestBadIngestArtifacts:
         assert message in caplog.text
 
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("conditions.json", "{not json", "not a JSON file"),
+        ("conditions.json", "[]", "expected {name:"),
+        ("conditions.json", '{"all": {"tasks": "walk", "source": "x"}}',
+         "expected {name:"),
+        ("conditions.json", '{"all": {"tasks": [], "source": "x"}}',
+         "no condition(s) ['optimized', 'cyclic']"),
+        ("ingest_report.json", '{"profiles": {}}', "no exclusion.kept_subjects"),
+        ("ingest_report.json", '{"exclusion": {"kept_subjects": "s01"}}',
+         "not a list of ids"),
+    ], ids=["conditions-not-json", "conditions-list", "conditions-tasks-string",
+            "conditions-missing", "report-no-exclusion", "report-kept-string"])
+    def test_train_rejects_bad_upstream_json(self, tmp_path, caplog, name, content,
+                                             message):
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster", "select"],
+                                    name, lambda path: path.write_text(content),
+                                    "train")
+        assert message in caplog.text
+        assert not (out_dir / "fold_results.csv").exists()
+
+
+class TestNotUtf8Input:
+    """A CSV input that is not UTF-8 is named with exit 2 by the stage that loads it."""
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.replace("s01,", "s\xe901,", 1).encode("latin-1"),
+        lambda text: text.encode("utf-16"),
+    ], ids=["latin-1-id", "utf-16-bom"])
+    @pytest.mark.parametrize("which, upstream, command", [
+        ("profiles", [], "ingest"),
+        ("sensors", ["ingest", "cluster", "select"], "train"),
+    ], ids=["profiles", "sensors"])
+    def test_named_with_exit_2(self, tmp_path, caplog, which, upstream, command,
+                               encode):
+        config_path, _ = _small_synth(tmp_path)
+        for stage in upstream:
+            assert main([stage, "--config", str(config_path)]) == 0
+        path = Path(json.loads(config_path.read_text())["paths"][which])
+        path.write_bytes(encode(path.read_text(encoding="utf-8")))
+        assert main([command, "--config", str(config_path)]) == 2
+        assert "unexpected failure" not in caplog.text
+        assert f"{path}: not UTF-8 text" in caplog.text
+
+
 class TestSingleCondition:
     def test_stats_note_for_single_condition(self, tmp_path, caplog):
         config_path, out_dir = _small_synth(tmp_path)

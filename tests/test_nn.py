@@ -4,12 +4,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import make_batches, predict_unfused, train_unfused
 from taskopt.errors import DataFormatError, TrainingDivergedError
 from taskopt.nn import (
     FcnnConfig,
     FcnnModel,
-    _make_batches,
+    _Backprop,
+    _batch_bounds,
     _views,
     loss_and_gradients,
     mse,
@@ -83,7 +87,7 @@ def reference_epochs(config, x, y):
     optimizer = ReferenceAdam(model.params, config)
     flats = []
     for _ in range(config.max_epochs):
-        for batch in _make_batches(rng.permutation(len(x)), config.batch_size):
+        for batch in make_batches(rng.permutation(len(x)), config.batch_size):
             masks = model.draw_dropout_masks(batch.size, rng)
             _, grads = loss_and_gradients(model, x[batch], y[batch], masks=masks)
             optimizer.step(model.params, grads)
@@ -121,8 +125,9 @@ class TestForward:
         model.params["h0.gamma"][:] = rng.uniform(0.5, 2.0, size=8)
         model.params["h0.beta"][:] = rng.normal(size=8)
         x = rng.normal(size=(64, 5))
-        _, cache = model._forward_train(x, None)
-        bn_out = cache["layers"][0]["bn_out"]
+        _, cache = _Backprop(model).forward(model._normalize(x), None)
+        zhat = cache[0][1]
+        bn_out = model.params["h0.gamma"] * zhat + model.params["h0.beta"]
         assert np.allclose(bn_out.mean(axis=0), model.params["h0.beta"],
                            atol=1e-6)
         assert np.allclose(bn_out.var(axis=0), model.params["h0.gamma"] ** 2,
@@ -136,10 +141,11 @@ class TestForward:
         rng = np.random.default_rng(6)
         for rows in (2, 3, 64, 65):
             x = rng.normal(rng.normal(), rng.uniform(0.1, 50.0), size=(rows, 6))
-            _, cache = model._forward_train(x, None)
-            stats = _views(cache["stats"], model._state_shapes)
-            for i, layer in enumerate(cache["layers"]):
-                z = layer["a_in"] @ model.params[f"h{i}.W"] + model.params[f"h{i}.b"]
+            backprop = _Backprop(model)
+            _, cache = backprop.forward(model._normalize(x), None)
+            stats = _views(backprop.stats, model._state_shapes)
+            for i, (a_in, *_) in enumerate(cache):
+                z = a_in @ model.params[f"h{i}.W"] + model.params[f"h{i}.b"]
                 assert stats[f"h{i}.running_mean"].tobytes() == \
                     z.mean(axis=0).tobytes()
                 assert stats[f"h{i}.running_var"].tobytes() == \
@@ -370,17 +376,61 @@ class TestTraining:
 
 class TestBatches:
     def test_trailing_singleton_merged(self):
-        batches = _make_batches(np.arange(65), 64)
-        assert len(batches) == 1
-        assert batches[0].size == 65
+        assert _batch_bounds(65, 64) == [(0, 65)]
+        assert _batch_bounds(129, 64) == [(0, 64), (64, 129)]
 
     def test_exact_multiple(self):
-        batches = _make_batches(np.arange(128), 64)
-        assert [b.size for b in batches] == [64, 64]
+        assert _batch_bounds(128, 64) == [(0, 64), (64, 128)]
 
     def test_small_remainder_kept(self):
-        batches = _make_batches(np.arange(70), 64)
-        assert [b.size for b in batches] == [64, 6]
+        assert _batch_bounds(70, 64) == [(0, 64), (64, 70)]
+        assert _batch_bounds(10, 64) == [(0, 10)]
+
+
+def _train_both(n, dropout, normalize, hidden, max_epochs, patience, seed,
+                fortran=False):
+    """``train`` and the unfused oracle on the same noisy data; both results."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.uniform(-3, 3), rng.uniform(0.5, 4), size=(n + 12, 4))
+    x = np.asfortranarray(x) if fortran else x
+    y = np.sin(x[:, 0]) + 0.5 * rng.normal(size=n + 12)
+    config = FcnnConfig(input_dim=4, hidden=hidden, dropout_rate=dropout,
+                        learning_rate=0.03, max_epochs=max_epochs,
+                        patience=patience, seed=seed, normalize_inputs=normalize)
+    data = ((x[:n], y[:n]), (x[n:], y[n:]))
+    return train(FcnnModel(config), *data, config), \
+        train_unfused(FcnnModel(config), *data, config), x
+
+
+class TestMatchesUnfusedOracle:
+    """``train`` and ``predict`` against the unfused step they replace, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.one_of(st.integers(2, 63), st.integers(1, 3).map(lambda k: 64 * k + 1),
+                       st.integers(64, 200)),
+           dropout=st.sampled_from([0.0, 0.2]), normalize=st.booleans(),
+           hidden=st.sampled_from([(6,), (7, 5, 4)]),
+           max_epochs=st.integers(1, 12), patience=st.integers(1, 3),
+           seed=st.integers(0, 2**16), fortran=st.booleans())
+    @example(n=65, dropout=0.2, normalize=True, hidden=(7, 5, 4), max_epochs=12,
+             patience=2, seed=1, fortran=False)
+    def test_train_and_predict_bit_equal(self, n, dropout, normalize, hidden,
+                                         max_epochs, patience, seed, fortran):
+        patience = min(patience, max_epochs)
+        ((model, history), (oracle, expected), x) = _train_both(
+            n, dropout, normalize, hidden, max_epochs, patience, seed, fortran)
+        assert model.flat.tobytes() == oracle.flat.tobytes()
+        assert model.state.tobytes() == oracle.state.tobytes()
+        assert model.input_mean.tobytes() == oracle.input_mean.tobytes()
+        assert model.input_std.tobytes() == oracle.input_std.tobytes()
+        assert history == expected  # every EpochRecord, best_epoch, stopped_early
+        assert model.predict(x).tobytes() == predict_unfused(oracle, x).tobytes()
+
+    def test_pinned_example_restores_a_non_final_epoch(self):
+        # The @example above covers early stopping that rolls back epochs.
+        _, (_, history), _ = _train_both(65, 0.2, True, (7, 5, 4), 12, 2, 1)
+        assert history.stopped_early
+        assert history.best_epoch < len(history.records)
 
 
 class TestCheckpoint:
