@@ -7,8 +7,14 @@ scan), ``select`` (task scores and training conditions), ``train``
 figures). Each stage persists what the next one needs, so clustering
 results can be inspected before committing to training.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
-Logs go to stderr, artifacts to the configured output directory.
+``STAGES`` names what each stage but ``synth`` reads; ``run_stage``
+refuses stale upstream records in ``run_manifest.json``, has the stage
+write into ``out/.tmp-<stage>/``, moves its files into place, and
+records their hashes last.
+
+Exit codes: 0 success, 1 configuration/usage error or a missing or
+stale upstream stage, 2 runtime failure. Logs go to stderr, artifacts
+to the configured output directory.
 """
 
 from __future__ import annotations
@@ -20,9 +26,14 @@ import hashlib
 import json
 import logging
 import math
+import os
+import resource
+import shutil
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 from urllib.parse import quote
 
 import numpy as np
@@ -35,7 +46,6 @@ from .crossval import (
     run_study,
     summarize_condition,
     write_fold_results_csv,
-    write_summary_csv,
 )
 from .dataset import (
     TaskManifest,
@@ -55,7 +65,6 @@ from .taskselect import (
     select_representatives,
     task_weight_analysis,
     write_conditions_json,
-    write_task_weight_csv,
 )
 
 log = logging.getLogger("taskopt")
@@ -63,18 +72,9 @@ log = logging.getLogger("taskopt")
 FEATURE_MATRIX = "feature_matrix.npy"
 ROW_LABELS = "row_labels.csv"
 INGEST_REPORT = "ingest_report.json"
-PCA_MODEL = "pca_model.json"
-PCA_SELECTION = "pca_selection.json"
-PCA_SCORES = "pca_scores.csv"
-PCA_SCATTER = "pca_scatter.svg"
 CLUSTER_MODEL = "cluster_model.json"
-SILHOUETTE_SCAN = "silhouette_scan.csv"
-TASK_WEIGHTS = "task_weights.csv"
 CONDITIONS = "conditions.json"
 FOLD_RESULTS = "fold_results.csv"
-TRAIN_REPORT = "train_report.json"
-SUMMARY = "summary.csv"
-STATS = "stats.json"
 RUN_MANIFEST = "run_manifest.json"
 
 
@@ -95,43 +95,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _update_run_manifest(
-    out_dir: Path,
-    command: str,
-    seed: int | None,
-    config_path: Path | None,
-    inputs: list[Path],
-    artifacts: list[Path],
-) -> None:
-    manifest_path = out_dir / RUN_MANIFEST
-    data = {"commands": {}}
-    if manifest_path.exists():
-        data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    data.setdefault("commands", {})[command] = {
-        "config_hash": _sha256(config_path) if config_path else None,
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "artifacts": sorted(str(p.relative_to(out_dir)) for p in artifacts),
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    manifest_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-
-
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(
-            f"missing artifact {path.name} in {path.parent}; "
-            f"run `taskopt {producer}` first"
-        )
-    return path
+def _missing(path: Path, producer: str) -> MissingArtifactError:
+    return MissingArtifactError(f"missing artifact {path.name} in {path.parent}; "
+                                f"run `taskopt {producer}` first")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_json(path: Path, payload, **options) -> None:
+    """``payload`` as one JSON document: indented, keys sorted, unless ``options`` differ."""
+    options = {"indent": 2, "sort_keys": True} | options
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(payload, **options) + "\n", encoding="utf-8")
 
 
 def _read_row_labels(path: Path, n_rows: int) -> list[tuple[str, str, str]]:
@@ -146,7 +127,7 @@ def _read_row_labels(path: Path, n_rows: int) -> list[tuple[str, str, str]]:
 
 def _read_feature_matrix(out: Path) -> tuple[np.ndarray, list[tuple[str, str, str]]]:
     """The ingest stage's matrix and its row labels, checked against each other."""
-    path = _require(out / FEATURE_MATRIX, "ingest")
+    path = out / FEATURE_MATRIX
     try:
         with path.open("rb") as fh:
             rows = np.load(fh)
@@ -157,7 +138,7 @@ def _read_feature_matrix(out: Path) -> tuple[np.ndarray, list[tuple[str, str, st
     if rows.ndim != 2 or rows.dtype.kind != "f":
         raise DataFormatError(f"{path}: expected a 2-D float array, "
                               f"got {rows.ndim}-D {rows.dtype}")
-    return rows, _read_row_labels(_require(out / ROW_LABELS, "ingest"), rows.shape[0])
+    return rows, _read_row_labels(out / ROW_LABELS, rows.shape[0])
 
 
 def _read_kept_subjects(path: Path) -> set[str]:
@@ -171,10 +152,24 @@ def _read_kept_subjects(path: Path) -> set[str]:
     return set(kept)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.paths.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _read_manifest(out: Path) -> dict:
+    """The per-command entries of ``out``'s run manifest; empty if there is none."""
+    path = out / RUN_MANIFEST
+    try:
+        return dict(json.loads(path.read_text(encoding="utf-8"))["commands"]
+                    if path.exists() else {})
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: not a run manifest ({exc!r})") from exc
+
+
+def _record(out: Path, command: str, entry: dict) -> None:
+    """Set ``command``'s run-manifest entry; the file is replaced in one step."""
+    commands = _read_manifest(out)
+    commands[command] = entry | {
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds")}
+    part = out / f".{RUN_MANIFEST}.part"
+    _write_json(part, {"commands": commands})
+    os.replace(part, out / RUN_MANIFEST)
 
 
 def _safe_name(value: str) -> str:
@@ -202,22 +197,21 @@ def cmd_synth(args) -> None:
         tasks=str(result.tasks_path.resolve()),
         out_dir=str((out / "run").resolve()),
     )
-    config_path.write_text(
-        json.dumps(default_config_dict(paths, seed=args.seed), indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(config_path, default_config_dict(paths, seed=args.seed), sort_keys=False)
     log.info("synthetic dataset in %s (separation ratio %.2f)",
              out, result.separation_ratio)
     log.info("pipeline config written to %s", config_path)
-    _update_run_manifest(
-        out, "synth", args.seed, None, [],
-        [result.profiles_path, result.sensors_path, result.tasks_path,
-         result.ground_truth_path, config_path],
-    )
+    written = [result.profiles_path, result.sensors_path, result.tasks_path,
+               result.ground_truth_path, config_path]
+    _record(out, "synth", {
+        "config": {"seed": args.seed, "subjects": args.subjects,
+                   "tasks": args.tasks, "clusters": args.clusters},
+        "inputs": {},
+        "artifacts": {p.name: _sha256(p) for p in written},
+    })
 
 
-def cmd_ingest(cfg: RunConfig, config_path: Path) -> None:
-    out = _out_dir(cfg)
+def cmd_ingest(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     matrix, stats = load_profiles(
         cfg.paths.profiles, manifest, cfg.dataset.target_length
@@ -230,28 +224,20 @@ def cmd_ingest(cfg: RunConfig, config_path: Path) -> None:
                  subject, count, cfg.study.min_cyclic_trials)
     if not matrix.n:
         raise TaskOptError("no profiles left after subject exclusion")
-    np.save(out / FEATURE_MATRIX, matrix.rows)
-    _write_csv(out / ROW_LABELS, ["subject", "task", "trial"], matrix.row_labels)
-    report = {
+    np.save(tmp / FEATURE_MATRIX, matrix.rows)
+    _write_csv(tmp / ROW_LABELS, ["subject", "task", "trial"], matrix.row_labels)
+    _write_json(tmp / INGEST_REPORT, {
         "profiles": stats.to_dict(),
         "exclusion": exclusion.to_dict(),
         "matrix": {"n": matrix.n, "d": matrix.d,
                    "target_length": cfg.dataset.target_length},
-    }
-    (out / INGEST_REPORT).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
     log.info("feature matrix %d x %d from %d subjects",
              matrix.n, matrix.d, len(exclusion.kept_subjects))
-    _update_run_manifest(
-        out, "ingest", cfg.seed, config_path,
-        [Path(cfg.paths.profiles), Path(cfg.paths.tasks)],
-        [out / FEATURE_MATRIX, out / ROW_LABELS, out / INGEST_REPORT],
-    )
+    return {"rows": matrix.n}
 
 
-def cmd_cluster(cfg: RunConfig, config_path: Path) -> None:
-    out = _out_dir(cfg)
+def cmd_cluster(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     rows, labels = _read_feature_matrix(out)
 
     model = pca_fit(rows, standardize=cfg.pca.standardize)
@@ -273,20 +259,15 @@ def cmd_cluster(cfg: RunConfig, config_path: Path) -> None:
     log.info("silhouette scan picked K=%d (silhouette %.4f)",
              scan.best_k, scan.model.silhouette)
 
-    model.to_json(out / PCA_MODEL)
-    (out / PCA_SELECTION).write_text(
-        json.dumps(
-            {"n_components": p_star, "cumulative_variance": cumulative,
-             "best_k": scan.best_k, "silhouette": scan.model.silhouette},
-            indent=2, sort_keys=True,
-        ) + "\n",
-        encoding="utf-8",
-    )
-    scan.model.to_json(out / CLUSTER_MODEL)
-    scan.write_csv(out / SILHOUETTE_SCAN)
+    model.to_json(tmp / "pca_model.json")
+    _write_json(tmp / "pca_selection.json",
+                {"n_components": p_star, "cumulative_variance": cumulative,
+                 "best_k": scan.best_k, "silhouette": scan.model.silhouette})
+    scan.model.to_json(tmp / CLUSTER_MODEL)
+    scan.write_csv(tmp / "silhouette_scan.csv")
 
     _write_csv(
-        out / PCA_SCORES,
+        tmp / "pca_scores.csv",
         ["subject", "task", "trial"] + [f"pc{i + 1}" for i in range(p_star)],
         ([*label, *(repr(float(v)) for v in row)]
          for label, row in zip(labels, scores)),
@@ -294,28 +275,25 @@ def cmd_cluster(cfg: RunConfig, config_path: Path) -> None:
 
     ys = scores[:, 1] if p_star >= 2 else np.zeros(n)
     scatter_svg(
-        out / PCA_SCATTER,
+        tmp / "pca_scatter.svg",
         scores[:, 0], ys, scan.model.assignments,
         title=f"PCA scores, K={scan.best_k}",
         xlabel="PC1", ylabel="PC2" if p_star >= 2 else "0",
     )
-    _update_run_manifest(
-        out, "cluster", cfg.seed, config_path,
-        [out / FEATURE_MATRIX, out / ROW_LABELS],
-        [out / PCA_MODEL, out / PCA_SELECTION, out / PCA_SCORES,
-         out / CLUSTER_MODEL, out / SILHOUETTE_SCAN, out / PCA_SCATTER],
-    )
+    return {"rows": n}
 
 
-def cmd_select(cfg: RunConfig, config_path: Path) -> None:
-    out = _out_dir(cfg)
-    cluster_model = ClusterModel.from_json(_require(out / CLUSTER_MODEL, "cluster"))
-    labels = _read_row_labels(_require(out / ROW_LABELS, "ingest"),
-                              len(cluster_model.assignments))
+def cmd_select(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
+    cluster_model = ClusterModel.from_json(out / CLUSTER_MODEL)
+    labels = _read_row_labels(out / ROW_LABELS, len(cluster_model.assignments))
     manifest = TaskManifest.from_json(cfg.paths.tasks)
+    weights = manifest.weights()
+    unknown = sorted({task for _, task, _ in labels} - weights.keys())
+    if unknown:
+        raise DataFormatError(f"{out / ROW_LABELS}: task(s) {unknown} are not "
+                              f"active tasks of {cfg.paths.tasks}")
 
-    rows = task_weight_analysis(cluster_model.assignments, labels,
-                                manifest.weights())
+    rows = task_weight_analysis(cluster_model.assignments, labels, weights)
     representatives = select_representatives(rows)
     if len(set(representatives.values())) < len(representatives):
         log.info("a task represents more than one cluster; the optimized set "
@@ -324,23 +302,21 @@ def cmd_select(cfg: RunConfig, config_path: Path) -> None:
     for name, ts in conditions.items():
         log.info("condition %-9s %d task(s)", name, len(ts.tasks))
 
-    write_task_weight_csv(rows, out / TASK_WEIGHTS)
-    write_conditions_json(conditions, out / CONDITIONS)
-    _update_run_manifest(
-        out, "select", cfg.seed, config_path,
-        [out / CLUSTER_MODEL, out / ROW_LABELS, Path(cfg.paths.tasks)],
-        [out / TASK_WEIGHTS, out / CONDITIONS],
-    )
+    _write_csv(tmp / "task_weights.csv",
+               ["cluster", "task", "a_over_b", "a_over_c", "s_over_total", "w", "r"],
+               ([r.cluster, r.task, *map(repr, (r.a_over_b, r.a_over_c, r.s_over_total,
+                                                r.w, r.r))] for r in rows))
+    write_conditions_json(conditions, tmp / CONDITIONS)
+    return {"rows": len(labels)}
 
 
-def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
-    out = _out_dir(cfg)
-    conditions_path = _require(out / CONDITIONS, "select")
+def cmd_train(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
+    conditions_path = out / CONDITIONS
     conditions = read_conditions_json(conditions_path)
     missing = [name for name in cfg.study.conditions if name not in conditions]
     if missing:
         raise DataFormatError(f"{conditions_path}: no condition(s) {missing}")
-    kept_subjects = _read_kept_subjects(_require(out / INGEST_REPORT, "ingest"))
+    kept_subjects = _read_kept_subjects(out / INGEST_REPORT)
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
     kept = samples.isin("subject", kept_subjects)
@@ -367,51 +343,32 @@ def cmd_train(cfg: RunConfig, config_path: Path, jobs: int) -> None:
     for cond, subject, reason in study.skipped:
         log.warning("skipped fold (%s, %s): %s", cond, subject, reason)
 
-    write_fold_results_csv(study.folds, out / FOLD_RESULTS)
-    hist_dir = out / "histories"
-    hist_dir.mkdir(exist_ok=True)
+    write_fold_results_csv(study.folds, tmp / FOLD_RESULTS)
     for (cond, subject), history in study.histories.items():
-        history.write_csv(hist_dir / f"history_{_safe_name(cond)}_{_safe_name(subject)}.csv")
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    artifacts = [out / FOLD_RESULTS, out / TRAIN_REPORT]
+        _write_csv(tmp / "histories" /
+                   f"history_{_safe_name(cond)}_{_safe_name(subject)}.csv",
+                   ["epoch", "train_mse", "val_mse"],
+                   ([r.epoch, repr(r.train_mse), repr(r.val_mse)] for r in history.records))
     for (cond, subject), checkpoint in study.checkpoints.items():
-        path = ckpt_dir / f"model_{_safe_name(cond)}_{_safe_name(subject)}.json"
-        path.write_text(json.dumps(checkpoint, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        artifacts.append(path)
-    (out / TRAIN_REPORT).write_text(
-        json.dumps(
-            {
-                "sensors": sensor_stats.to_dict(),
-                "sensor_rows_dropped_subject": dropped_rows,
-                "skipped_folds": [
-                    {"condition": c, "subject": s, "reason": r}
-                    for c, s, r in study.skipped
-                ],
-                "n_folds": len(study.folds),
-            },
-            indent=2, sort_keys=True,
-        ) + "\n",
-        encoding="utf-8",
-    )
-    for f in study.folds:
-        log.info("fold %-9s left_out=%s rmse=%.4f r2=%s",
-                 f.condition, f.left_out, f.rmse,
-                 "n/a" if f.r2 is None else f"{f.r2:.4f}")
-    _update_run_manifest(
-        out, "train", cfg.seed, config_path,
-        [out / CONDITIONS, out / INGEST_REPORT, Path(cfg.paths.sensors)],
-        artifacts,
-    )
+        _write_json(tmp / "checkpoints" /
+                    f"model_{_safe_name(cond)}_{_safe_name(subject)}.json",
+                    checkpoint, indent=None)
+    _write_json(tmp / "train_report.json", {
+        "sensors": sensor_stats.to_dict(),
+        "sensor_rows_dropped_subject": dropped_rows,
+        "skipped_folds": [
+            {"condition": c, "subject": s, "reason": r}
+            for c, s, r in study.skipped
+        ],
+        "n_folds": len(study.folds),
+    })
+    return {"rows": samples.n, "folds": len(study.folds)}
 
 
 _ALPHA = 0.05
 
 
-def _stats_payload(cfg: RunConfig, folds) -> dict:
-    present = [c for c in cfg.study.conditions
-               if any(f.condition == c for f in folds)]
+def _stats_payload(present: list[str], folds) -> dict:
     if len(present) < 2:
         return {
             "note": "statistical comparison needs >= 2 conditions; "
@@ -453,8 +410,7 @@ def _null_non_finite(value):
     return value
 
 
-def _write_bar_chart(out: Path, name: str, metric: str, summaries,
-                     folds) -> list[Path]:
+def _write_bar_chart(tmp: Path, name: str, metric: str, summaries, folds) -> None:
     labels = list(summaries)
     means = [getattr(summaries[c], f"{metric}_mean") for c in labels]
     stds = [getattr(summaries[c], f"{metric}_std") for c in labels]
@@ -463,21 +419,16 @@ def _write_bar_chart(out: Path, name: str, metric: str, summaries,
          if f.condition == c and getattr(f, metric) is not None]
         for c in labels
     ]
-    svg_path = out / f"{name}.svg"
-    csv_path = out / f"{name}.csv"
     unit = " (Nm/kg)" if metric == "rmse" else ""
-    bar_svg(svg_path, labels, means, stds, points,
+    bar_svg(tmp / f"{name}.svg", labels, means, stds, points,
             title=f"{metric.upper()} by condition", ylabel=metric + unit)
-    _write_csv(csv_path, ["condition", "mean", "std", "n_folds"],
+    _write_csv(tmp / f"{name}.csv", ["condition", "mean", "std", "n_folds"],
                ([c, repr(means[i]), repr(stds[i]), summaries[c].n_folds]
                 for i, c in enumerate(labels)))
-    return [svg_path, csv_path]
 
 
-def _write_traces(cfg: RunConfig, out: Path, folds, manifest) -> list[Path]:
+def _write_traces(cfg: RunConfig, out: Path, tmp: Path, folds, present, manifest) -> None:
     """Predicted-vs-truth sample traces for a median-performance subject."""
-    present = [c for c in cfg.study.conditions
-               if any(f.condition == c for f in folds)]
     anchor = "optimized" if "optimized" in present else present[0]
     anchor_folds = sorted(
         (f for f in folds if f.condition == anchor), key=lambda f: f.rmse
@@ -493,34 +444,31 @@ def _write_traces(cfg: RunConfig, out: Path, folds, manifest) -> list[Path]:
 
     models = {}
     for cond in present:
+        if not any(f.condition == cond and f.left_out == subject for f in folds):
+            continue  # the fold was skipped, so train wrote no checkpoint
         path = out / "checkpoints" / \
             f"model_{_safe_name(cond)}_{_safe_name(subject)}.json"
-        if path.exists():
-            model = models[cond] = FcnnModel.load(path)
-            if model.config.input_dim != samples.x.shape[1]:
-                raise DataFormatError(f"{path}: input_dim {model.config.input_dim} "
-                                      f"!= {samples.x.shape[1]} sensor columns")
+        if not path.exists():
+            raise _missing(path, "train")
+        model = models[cond] = FcnnModel.load(path)
+        if model.config.input_dim != samples.x.shape[1]:
+            raise DataFormatError(f"{path}: input_dim {model.config.input_dim} "
+                                  f"!= {samples.x.shape[1]} sensor columns")
 
-    trace_dir = out / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    written = []
     for task in chosen:
         in_task = samples.tasks == task
         first_trial = min(samples.trials[in_task])
         trial = samples.subset(in_task & (samples.trials == first_trial))
         preds = [m.predict(trial.x).reshape(-1) for m in models.values()]
-        path = trace_dir / f"trace_{_safe_name(task)}.csv"
-        _write_csv(path, ["time_s", "truth"] + [f"pred_{c}" for c in models],
+        _write_csv(tmp / "traces" / f"trace_{_safe_name(task)}.csv",
+                   ["time_s", "truth"] + [f"pred_{c}" for c in models],
                    ([repr(float(v)) for v in cells]
                     for cells in zip(trial.times, trial.y, *preds)))
-        written.append(path)
     log.info("traces for subject %s, tasks %s", subject, ", ".join(chosen))
-    return written
 
 
-def cmd_report(cfg: RunConfig, config_path: Path) -> None:
-    out = _out_dir(cfg)
-    folds = read_fold_results_csv(_require(out / FOLD_RESULTS, "train"))
+def cmd_report(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
+    folds = read_fold_results_csv(out / FOLD_RESULTS)
     if not folds:
         raise TaskOptError("fold_results.csv contains no folds")
     manifest = TaskManifest.from_json(cfg.paths.tasks)
@@ -528,30 +476,135 @@ def cmd_report(cfg: RunConfig, config_path: Path) -> None:
     present = [c for c in cfg.study.conditions
                if any(f.condition == c for f in folds)]
     summaries = {c: summarize_condition(c, folds) for c in present}
-    write_summary_csv(summaries, out / SUMMARY)
+    _write_csv(tmp / "summary.csv",
+               ["condition", "n_folds", "rmse_mean", "rmse_std", "r2_mean", "r2_std"],
+               ([c, s.n_folds, *map(repr, (s.rmse_mean, s.rmse_std, s.r2_mean, s.r2_std))]
+                for c, s in summaries.items()))
     for c in present:
         s = summaries[c]
         log.info("%-9s rmse %.4f +/- %.4f  r2 %.4f +/- %.4f  (%d folds)",
                  c, s.rmse_mean, s.rmse_std, s.r2_mean, s.r2_std, s.n_folds)
 
-    stats_payload = _stats_payload(cfg, folds)
-    (out / STATS).write_text(
-        json.dumps(stats_payload, indent=2, sort_keys=True, allow_nan=False)
-        + "\n",
-        encoding="utf-8",
-    )
+    stats_payload = _stats_payload(present, folds)
+    _write_json(tmp / "stats.json", stats_payload, allow_nan=False)
     if "note" in stats_payload:
         log.info("%s", stats_payload["note"])
 
-    artifacts = [out / SUMMARY, out / STATS]
-    artifacts += _write_bar_chart(out, "rmse_bars", "rmse", summaries, folds)
-    artifacts += _write_bar_chart(out, "r2_bars", "r2", summaries, folds)
-    artifacts += _write_traces(cfg, out, folds, manifest)
-    _update_run_manifest(
-        out, "report", cfg.seed, config_path,
-        [out / FOLD_RESULTS, Path(cfg.paths.sensors), Path(cfg.paths.tasks)],
-        artifacts,
-    )
+    _write_bar_chart(tmp, "rmse_bars", "rmse", summaries, folds)
+    _write_bar_chart(tmp, "r2_bars", "r2", summaries, folds)
+    _write_traces(cfg, out, tmp, folds, present, manifest)
+    return {"folds": len(folds)}
+
+
+# ------------------------------------------------------------------- runner
+
+
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One stage: ``run(cfg, out, tmp, jobs)`` reads upstream artifacts from
+    ``out``, writes its own into ``tmp`` and returns its row/fold counts.
+
+    ``config`` names the config fields it depends on (a section,
+    ``section.field`` or ``seed``); the ``paths.*`` among them are the
+    external files it reads.
+    """
+
+    run: Callable[[RunConfig, Path, Path, int], dict]
+    help: str
+    reads: dict[str, str]  # upstream artifact -> the stage that writes it
+    config: tuple[str, ...]
+
+
+STAGES = {
+    "ingest": Stage(cmd_ingest, "validate inputs and build the feature matrix", {},
+                    ("paths.profiles", "paths.tasks", "dataset",
+                     "study.min_cyclic_trials")),
+    "cluster": Stage(cmd_cluster, "fit PCA and scan K by silhouette",
+                     {FEATURE_MATRIX: "ingest", ROW_LABELS: "ingest"},
+                     ("pca", "cluster", "seed")),
+    "select": Stage(cmd_select, "score tasks per cluster and assemble conditions",
+                    {CLUSTER_MODEL: "cluster", ROW_LABELS: "ingest"},
+                    ("paths.tasks",)),
+    "train": Stage(cmd_train, "run the leave-one-subject-out study",
+                   {CONDITIONS: "select", INGEST_REPORT: "ingest"},
+                   ("paths.sensors", "paths.tasks", "nn", "study.conditions",
+                    "study.val_fraction", "seed")),
+    "report": Stage(cmd_report, "summaries, statistics, and figures",
+                    {FOLD_RESULTS: "train"},
+                    ("paths.sensors", "paths.tasks", "study.conditions")),
+}
+
+
+def _config_fields(cfg: RunConfig, names: tuple[str, ...]) -> dict:
+    """The current value of each named config field, as read back from JSON."""
+    values = {}
+    for name in names:
+        value = cfg
+        for part in name.split("."):
+            value = getattr(value, part)
+        values[name] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+    return json.loads(json.dumps(values))
+
+
+def _check_fresh(name: str, cfg: RunConfig, commands: dict) -> None:
+    """Name the first upstream stage whose manifest entry records other config
+    values than ``cfg`` holds, or other input hashes than its producers recorded."""
+    upstream = set(STAGES[name].reads.values())
+    for stage in reversed(STAGES):  # producers come before their readers
+        if stage in upstream:
+            upstream |= set(STAGES[stage].reads.values())
+    for stage in (s for s in STAGES if s in upstream):
+        try:
+            entry = commands[stage]
+            current = _config_fields(cfg, STAGES[stage].config)
+            changed = [k for k in current if entry["config"][k] != current[k]]
+            changed += [a for a, producer in STAGES[stage].reads.items()
+                        if entry["inputs"][a] != commands[producer]["artifacts"][a]]
+            reason = changed and f"{', '.join(changed)} changed since"
+        except (KeyError, TypeError):  # no entry, or one of an older schema
+            reason = f"no record of it in {RUN_MANIFEST}"
+        if reason:
+            raise MissingArtifactError(f"stale: rerun `taskopt {stage}` ({reason})")
+
+
+def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> None:
+    """Run one stage of ``STAGES`` and commit its artifacts, then its manifest entry."""
+    start = time.perf_counter()
+    stage = STAGES[name]
+    out = Path(cfg.paths.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for artifact, producer in stage.reads.items():
+        if not (out / artifact).exists():
+            raise _missing(out / artifact, producer)
+    _check_fresh(name, cfg, _read_manifest(out))
+
+    tmp = out / f".tmp-{name}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        counts = stage.run(cfg, out, tmp, jobs)
+        config = _config_fields(cfg, stage.config)
+        inputs = {artifact: _sha256(out / artifact) for artifact in stage.reads}
+        inputs |= {path: _sha256(Path(path)) for field, path in config.items()
+                   if field.startswith("paths.")}
+        artifacts = {path.relative_to(tmp).as_posix(): _sha256(path)
+                     for path in sorted(tmp.rglob("*")) if path.is_file()}
+        for artifact in artifacts:
+            (out / artifact).parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp / artifact, out / artifact)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    _record(out, name, {
+        "config": config,
+        "inputs": inputs,
+        "artifacts": artifacts,
+        "counts": counts,
+        "wall_s": round(time.perf_counter() - start, 3),
+        # Linux reports the peaks in KiB.
+        "peak_rss_self_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_children_mb":
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+    })
 
 
 # --------------------------------------------------------------------- main
@@ -571,14 +624,8 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--tasks", type=int, default=SynthSpec().n_tasks)
     p_synth.add_argument("--clusters", type=int, default=SynthSpec().n_clusters)
 
-    for name, help_text in [
-        ("ingest", "validate inputs and build the feature matrix"),
-        ("cluster", "fit PCA and scan K by silhouette"),
-        ("select", "score tasks per cluster and assemble conditions"),
-        ("train", "run the leave-one-subject-out study"),
-        ("report", "summaries, statistics, and figures"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         p.add_argument("--config", required=True, help="path to config.json")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
@@ -602,20 +649,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             cmd_synth(args)
             return 0
-        config_path = Path(args.config)
-        cfg = load_run_config(config_path)
+        cfg = load_run_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.command == "ingest":
-            cmd_ingest(cfg, config_path)
-        elif args.command == "cluster":
-            cmd_cluster(cfg, config_path)
-        elif args.command == "select":
-            cmd_select(cfg, config_path)
-        elif args.command == "train":
-            cmd_train(cfg, config_path, jobs=max(1, args.jobs))
-        elif args.command == "report":
-            cmd_report(cfg, config_path)
+        run_stage(args.command, cfg, jobs=max(1, getattr(args, "jobs", 1)))
         return 0
     except (ConfigError, MissingArtifactError) as exc:
         log.error("%s", exc)

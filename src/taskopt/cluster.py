@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import DataFormatError
+
 
 @dataclass
 class ClusterModel:
@@ -42,15 +44,21 @@ class ClusterModel:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ClusterModel":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            k=int(raw["k"]),
-            centroids=np.array(raw["centroids"], dtype=float),
-            assignments=np.array(raw["assignments"], dtype=int),
-            inertia=float(raw["inertia"]),
-            silhouette=None if raw["silhouette"] is None else float(raw["silhouette"]),
-            inertia_history=[float(v) for v in raw["inertia_history"]],
-        )
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            model = cls(
+                k=int(raw["k"]),
+                centroids=np.array(raw["centroids"], dtype=float),
+                assignments=np.array(raw["assignments"], dtype=int),
+                inertia=float(raw["inertia"]),
+                silhouette=None if raw["silhouette"] is None else float(raw["silhouette"]),
+                inertia_history=[float(v) for v in raw["inertia_history"]],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}: not a cluster model ({exc!r})") from exc
+        if model.assignments.ndim != 1:
+            raise DataFormatError(f"{path}: assignments is not a list of cluster ids")
+        return model
 
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -105,12 +105,18 @@ _SECTION_TYPES = {
     "pca": PcaSettings,
     "cluster": ClusterSettings,
     "study": StudySettings,
+    "nn": FcnnConfig,
 }
+
+
+# Set by the pipeline, not the config: the 14 sensor channels, the one
+# target, and each fold's training seed (derived from the run seed).
+_FIXED_FIELDS = {"nn": {"input_dim", "output_dim", "seed"}}
 
 
 def _build_section(name: str, cls, raw: dict, problems: list[str]):
     kwargs = {}
-    fields = cls.__dataclass_fields__
+    fields = cls.__dataclass_fields__.keys() - _FIXED_FIELDS.get(name, set())
     for key, value in raw.items():
         if key not in fields:
             problems.append(f"{name}.{key}: unknown field")
@@ -137,23 +143,18 @@ def parse_run_config(raw: dict) -> RunConfig:
             problems.append(f"{name}: must be an object")
             section_raw = {}
         sections[name] = _build_section(name, cls, section_raw, problems)
-    nn_raw = raw.get("nn", {})
-    if not isinstance(nn_raw, dict):
-        problems.append("nn: must be an object")
-        nn_raw = {}
-    nn_cfg = _build_section("nn", FcnnConfig, nn_raw, problems)
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append("seed: must be an integer")
         seed = 0
-    unknown = set(raw) - set(_SECTION_TYPES) - {"nn", "seed"}
+    unknown = set(raw) - set(_SECTION_TYPES) - {"seed"}
     for key in sorted(unknown):
         problems.append(f"{key}: unknown section")
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
 
-    config = RunConfig(nn=nn_cfg, seed=seed, **sections)
+    config = RunConfig(seed=seed, **sections)
     return config.validated()
 
 
@@ -169,29 +170,19 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def default_config_dict(paths: PathSettings, seed: int) -> dict:
-    """A complete config document with library defaults filled in."""
+    """A complete config document with library defaults filled in.
+
+    Of ``nn`` it shows the fields a study tunes; the rest keep their
+    defaults when left out.
+    """
+    nn = asdict(FcnnConfig())
     return {
-        "paths": {
-            "profiles": paths.profiles,
-            "sensors": paths.sensors,
-            "tasks": paths.tasks,
-            "out_dir": paths.out_dir,
-        },
-        "dataset": {"target_length": DatasetSettings().target_length},
-        "pca": {"standardize": True, "variance_threshold": 0.70},
-        "cluster": {"k_min": 2, "k_max": 12, "restarts": 10, "max_iter": 300},
-        "nn": {
-            "hidden": [50, 50, 50],
-            "dropout_rate": 0.2,
-            "learning_rate": 0.001,
-            "batch_size": 64,
-            "max_epochs": 100,
-            "patience": 10,
-        },
-        "study": {
-            "conditions": list(CONDITION_NAMES),
-            "min_cyclic_trials": 1,
-            "val_fraction": 0.8,
-        },
+        "paths": asdict(paths),
+        "dataset": asdict(DatasetSettings()),
+        "pca": asdict(PcaSettings()),
+        "cluster": asdict(ClusterSettings()),
+        "nn": {k: nn[k] for k in ("hidden", "dropout_rate", "learning_rate",
+                                  "batch_size", "max_epochs", "patience")},
+        "study": asdict(StudySettings()),
         "seed": seed,
     }

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .dataset import SampleTable
-from .errors import InsufficientTrialsError
+from .errors import DataFormatError, InsufficientTrialsError
 from .nn import FcnnConfig, FcnnModel, TrainHistory, train
 from .taskselect import TaskSet
 
@@ -59,29 +59,18 @@ class LosoFold:
     test: SampleTable
 
 
-def _fold_subjects(
-    samples: SampleTable, subjects: Sequence[str] | None = None
-) -> list[str]:
-    """The subjects left out in turn, sorted; at least two, each with samples."""
-    found = sorted(samples.subject_set())
-    if subjects is None:
-        subjects = found
-    else:
-        subjects = sorted(subjects)
-        missing = [s for s in subjects if s not in found]
-        if missing:
-            raise ValueError(f"subjects with no samples: {missing}")
+def _fold_subjects(samples: SampleTable) -> list[str]:
+    """The subjects left out in turn, sorted; at least two."""
+    subjects = sorted(samples.subject_set())
     if len(subjects) < 2:
         raise ValueError(f"leave-one-subject-out needs >= 2 subjects, got {len(subjects)}")
     return subjects
 
 
-def loso_folds(
-    samples: SampleTable, subjects: Sequence[str] | None = None
-) -> list[LosoFold]:
+def loso_folds(samples: SampleTable) -> list[LosoFold]:
     """One fold per subject, each testing on that subject alone."""
     folds = []
-    for subject in _fold_subjects(samples, subjects):
+    for subject in _fold_subjects(samples):
         test_mask = samples.isin("subject", [subject])
         fold = LosoFold(
             left_out=subject,
@@ -144,7 +133,6 @@ class ConditionSummary:
 @dataclass
 class StudyResult:
     folds: list[FoldResult]
-    summaries: dict[str, ConditionSummary]
     histories: dict[tuple[str, str], TrainHistory]
     checkpoints: dict[tuple[str, str], dict]
     skipped: list[tuple[str, str, str]]  # (condition, subject, reason)
@@ -339,14 +327,8 @@ def run_study(
         if checkpoint is not None:
             checkpoints[(name, left_out)] = checkpoint
 
-    summaries = {
-        name: summarize_condition(name, fold_results)
-        for name in conditions
-        if any(f.condition == name for f in fold_results)
-    }
     return StudyResult(
         folds=fold_results,
-        summaries=summaries,
         histories=histories,
         checkpoints=checkpoints,
         skipped=skipped,
@@ -412,9 +394,8 @@ def write_fold_results_csv(folds: Sequence[FoldResult], path: str | Path) -> Non
 def read_fold_results_csv(path: str | Path) -> list[FoldResult]:
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        folds = []
-        for row in reader:
-            folds.append(FoldResult(
+        try:
+            return [FoldResult(
                 condition=row["condition"],
                 left_out=row["left_out_subject"],
                 rmse=float(row["rmse_nm_per_kg"]),
@@ -423,18 +404,7 @@ def read_fold_results_csv(path: str | Path) -> list[FoldResult]:
                 n_val=int(row["n_val"]),
                 n_test=int(row["n_test"]),
                 seed=int(row["seed"]),
-            ))
-    return folds
-
-
-def write_summary_csv(
-    summaries: Mapping[str, ConditionSummary], path: str | Path
-) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["condition", "n_folds", "rmse_mean", "rmse_std",
-                         "r2_mean", "r2_std"])
-        for name in summaries:
-            s = summaries[name]
-            writer.writerow([s.condition, s.n_folds, repr(s.rmse_mean),
-                             repr(s.rmse_std), repr(s.r2_mean), repr(s.r2_std)])
+            ) for row in reader]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(
+                f"{path}: line {reader.line_num}: not a fold result ({exc!r})") from exc

@@ -78,11 +78,6 @@ class TrainHistory:
     best_val_mse: float = math.inf
     stopped_early: bool = False
 
-    def write_csv(self, path: str | Path) -> None:
-        lines = ["epoch,train_mse,val_mse"]
-        lines += [f"{r.epoch},{r.train_mse!r},{r.val_mse!r}" for r in self.records]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 class FcnnModel:
     """Network parameters plus batch-norm running statistics.

@@ -10,7 +10,6 @@ task set.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,18 +163,6 @@ def make_conditions(
         ),
         "cyclic": TaskSet("cyclic", cyclic, "every task flagged cyclic"),
     }
-
-
-def write_task_weight_csv(rows: Sequence[TaskWeightRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster", "task", "a_over_b", "a_over_c",
-                         "s_over_total", "w", "r"])
-        for row in rows:
-            writer.writerow([
-                row.cluster, row.task, repr(row.a_over_b), repr(row.a_over_c),
-                repr(row.s_over_total), repr(row.w), repr(row.r),
-            ])
 
 
 def write_conditions_json(conditions: Mapping[str, TaskSet], path: str | Path) -> None:

@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from taskopt import cli
 from taskopt.cli import _read_row_labels, _safe_name, _stats_payload, main
-from taskopt.config import RunConfig
 from taskopt.crossval import FoldResult
 from taskopt.nn import FcnnModel
 
@@ -31,14 +32,20 @@ def _small_synth(tmp_path, seed=11):
     return config_path, Path(raw["paths"]["out_dir"])
 
 
-def _checksums(out_dir):
-    sums = {}
-    for path in sorted(out_dir.rglob("*")):
-        if path.is_file() and path.name != "run_manifest.json":
-            sums[str(path.relative_to(out_dir))] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-    return sums
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _checksums(out_dir, skip=("run_manifest.json",)):
+    return {str(path.relative_to(out_dir)): _sha256(path)
+            for path in sorted(out_dir.rglob("*"))
+            if path.is_file() and path.name not in skip}
+
+
+def _edit_config(config_path, section, **fields):
+    raw = json.loads(config_path.read_text())
+    raw[section].update(fields)
+    config_path.write_text(json.dumps(raw, indent=2) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -93,14 +100,34 @@ class TestFullPipeline:
 
     def test_run_manifest_provenance(self, pipeline):
         config_path, out_dir = pipeline
-        manifest = json.loads((out_dir / "run_manifest.json").read_text())
-        commands = manifest["commands"]
-        assert set(commands) >= {"ingest", "cluster", "select", "train",
-                                 "report"}
-        reference = hashlib.sha256(config_path.read_bytes()).hexdigest()
-        for name in ("ingest", "cluster", "select", "train", "report"):
-            assert commands[name]["config_hash"] == reference
-            assert "timestamp" in commands[name]
+        raw = json.loads(config_path.read_text())
+        commands = json.loads((out_dir / "run_manifest.json").read_text())["commands"]
+        assert set(commands) == {"ingest", "cluster", "select", "train", "report"}
+        written = {}
+        for entry in commands.values():
+            for artifact, digest in entry["artifacts"].items():
+                assert _sha256(out_dir / artifact) == digest, artifact
+                written[artifact] = digest
+            assert entry["wall_s"] > 0 and entry["peak_rss_self_mb"] > 0
+            assert entry["peak_rss_children_mb"] >= 0 and "timestamp" in entry
+        for entry in commands.values():
+            for name, digest in entry["inputs"].items():
+                on_disk = written[name] if name in written else _sha256(Path(name))
+                assert digest == on_disk, name
+        paths = raw["paths"]
+        assert set(commands["ingest"]["inputs"]) == {paths["profiles"], paths["tasks"]}
+        assert set(commands["cluster"]["inputs"]) == {"feature_matrix.npy",
+                                                      "row_labels.csv"}
+        assert set(commands["train"]["inputs"]) == {
+            "conditions.json", "ingest_report.json", paths["sensors"], paths["tasks"]}
+        assert commands["cluster"]["config"] == {
+            "pca": raw["pca"], "cluster": raw["cluster"], "seed": raw["seed"]}
+        assert commands["ingest"]["counts"] == {"rows": 72}
+        assert commands["train"]["counts"]["folds"] == 12
+        assert commands["report"]["counts"] == {"folds": 12}
+        checkpoints = {p.relative_to(out_dir).as_posix()
+                       for p in (out_dir / "checkpoints").iterdir()}
+        assert checkpoints <= set(commands["train"]["artifacts"])
 
 
 class TestStageDependencies:
@@ -141,6 +168,13 @@ class TestConfigValidation:
         rc = main(["ingest", "--config", str(config_path)])
         assert rc == 1
         assert "standardise" in caplog.text
+
+    @pytest.mark.parametrize("field", ["seed", "input_dim", "output_dim"])
+    def test_pipeline_set_nn_fields_rejected(self, tmp_path, caplog, field):
+        config_path, _ = _small_synth(tmp_path)
+        _edit_config(config_path, "nn", **{field: 2})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert f"nn.{field}: unknown field" in caplog.text
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["ingest", "--config", str(tmp_path / "nope.json")])
@@ -258,12 +292,12 @@ class TestBadSensors:
 class TestBadIngestArtifacts:
     """A damaged matrix or label file is named, with exit 2, where a stage reads it."""
 
-    def _damage_then(self, tmp_path, caplog, upstream, name, damage, command):
+    def _damage_then(self, tmp_path, caplog, upstream, name, damage, command, code=2):
         config_path, out_dir = _small_synth(tmp_path)
         for stage in upstream:
             assert main([stage, "--config", str(config_path)]) == 0
         damage(out_dir / name)
-        assert main([command, "--config", str(config_path)]) == 2
+        assert main([command, "--config", str(config_path)]) == code
         assert "unexpected failure" not in caplog.text
         assert str(out_dir / name) in caplog.text
         return out_dir
@@ -328,6 +362,68 @@ class TestBadIngestArtifacts:
         assert not (out_dir / "fold_results.csv").exists()
 
 
+    @pytest.mark.parametrize("content, message", [
+        ("{not json", "not a cluster model (JSONDecodeError"),
+        ("{}", "not a cluster model (KeyError('k')"),
+        ('{"k": 2, "centroids": [[0.0], [1.0]], "assignments": "abc", "inertia": 1.0,'
+         ' "silhouette": null, "inertia_history": []}', "not a cluster model (ValueError"),
+        ('{"k": 2, "centroids": [[0.0], [1.0]], "assignments": "10", "inertia": 1.0,'
+         ' "silhouette": null, "inertia_history": []}',
+         "assignments is not a list of cluster ids"),
+    ], ids=["not-json", "empty-object", "assignments-text", "assignments-number"])
+    def test_select_rejects_bad_cluster_model(self, tmp_path, caplog, content, message):
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster"],
+                                    "cluster_model.json",
+                                    lambda path: path.write_text(content), "select")
+        assert message in caplog.text
+        assert not (out_dir / "conditions.json").exists()
+
+    @staticmethod
+    def _edit_fold_results(edit):
+        def damage(path):
+            with path.open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            edit(rows)
+            with path.open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+        return damage
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [row.pop("r2") for row in rows], "not a fold result (KeyError('r2')"),
+        (lambda rows: rows[1].update(n_train="abc"), "line 3: not a fold result (ValueError"),
+    ], ids=["missing-column", "text-in-number-cell"])
+    def test_report_rejects_bad_fold_results(self, tmp_path, caplog, edit, message):
+        out_dir = self._damage_then(tmp_path, caplog,
+                                    ["ingest", "cluster", "select", "train"],
+                                    "fold_results.csv", self._edit_fold_results(edit),
+                                    "report")
+        assert message in caplog.text
+        assert not (out_dir / "summary.csv").exists()
+
+    def test_report_names_missing_checkpoint(self, tmp_path, caplog):
+        out_dir = self._damage_then(tmp_path, caplog,
+                                    ["ingest", "cluster", "select", "train"],
+                                    "checkpoints", shutil.rmtree, "report", code=1)
+        assert "missing artifact model_all_" in caplog.text
+        assert "run `taskopt train` first" in caplog.text
+        assert not (out_dir / "traces").exists()
+
+    def test_select_names_tasks_missing_from_manifest(self, tmp_path, caplog):
+        config_path, out_dir = _small_synth(tmp_path)
+        for command in ("ingest", "cluster"):
+            assert main([command, "--config", str(config_path)]) == 0
+        tasks_path = Path(json.loads(config_path.read_text())["paths"]["tasks"])
+        raw = json.loads(tasks_path.read_text())
+        raw["tasks"] = raw["tasks"][:3]
+        tasks_path.write_text(json.dumps(raw))
+        assert main(["select", "--config", str(config_path)]) == 2
+        assert "unexpected failure" not in caplog.text
+        assert f"{out_dir / 'row_labels.csv'}: task(s) [" in caplog.text
+        assert f"are not active tasks of {tasks_path}" in caplog.text
+
+
 class TestNotUtf8Input:
     """A CSV input that is not UTF-8 is named with exit 2 by the stage that loads it."""
 
@@ -365,12 +461,115 @@ class TestSingleCondition:
 
 
 class TestSeedOverride:
-    def test_seed_flag_recorded_and_applied(self, tmp_path):
+    def test_seed_flag_recorded_and_applied(self, tmp_path, caplog):
         config_path, out_dir = _small_synth(tmp_path)
-        assert main(["ingest", "--config", str(config_path),
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        assert main(["cluster", "--config", str(config_path),
                      "--seed", "99"]) == 0
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
-        assert manifest["commands"]["ingest"]["seed"] == 99
+        assert manifest["commands"]["cluster"]["config"]["seed"] == 99
+        assert main(["select", "--config", str(config_path)]) == 1
+        assert "stale: rerun `taskopt cluster` (seed changed since)" in caplog.text
+        assert main(["select", "--config", str(config_path), "--seed", "99"]) == 0
+
+
+class TestStaleUpstream:
+    """A stage refuses upstream artifacts whose manifest records no longer match."""
+
+    def _select_after(self, tmp_path, caplog, change, upstream=("ingest", "cluster"),
+                      command="select"):
+        config_path, out_dir = _small_synth(tmp_path)
+        for stage in upstream:
+            assert main([stage, "--config", str(config_path)]) == 0
+        change(config_path)
+        before = _checksums(out_dir, skip=())
+        assert main([command, "--config", str(config_path)]) == 1
+        assert _checksums(out_dir, skip=()) == before
+        return caplog.text
+
+    def test_reingest_with_new_target_length_names_cluster(self, tmp_path, caplog):
+        def reingest(config_path):
+            _edit_config(config_path, "dataset", target_length=50)
+            assert main(["ingest", "--config", str(config_path)]) == 0
+
+        text = self._select_after(tmp_path, caplog, reingest)
+        assert "stale: rerun `taskopt cluster` (feature_matrix.npy changed since)" in text
+
+    def test_changed_variance_threshold_names_cluster(self, tmp_path, caplog):
+        text = self._select_after(
+            tmp_path, caplog,
+            lambda path: _edit_config(path, "pca", variance_threshold=0.9))
+        assert "stale: rerun `taskopt cluster` (pca changed since)" in text
+
+    def test_stage_two_steps_downstream_names_cluster(self, tmp_path, caplog):
+        text = self._select_after(
+            tmp_path, caplog,
+            lambda path: _edit_config(path, "pca", variance_threshold=0.9),
+            upstream=("ingest", "cluster", "select"), command="train")
+        assert "stale: rerun `taskopt cluster` (pca changed since)" in text
+
+    def test_changed_ingest_config_names_ingest(self, tmp_path, caplog):
+        text = self._select_after(
+            tmp_path, caplog,
+            lambda path: _edit_config(path, "dataset", target_length=50))
+        assert "stale: rerun `taskopt ingest` (dataset changed since)" in text
+
+    def test_old_manifest_reads_as_stale(self, tmp_path, caplog):
+        def old_schema(config_path):
+            manifest = Path(json.loads(config_path.read_text())["paths"]["out_dir"]) \
+                / "run_manifest.json"
+            raw = json.loads(manifest.read_text())
+            for entry in raw["commands"].values():
+                entry["artifacts"] = sorted(entry["artifacts"])
+                del entry["config"]
+            manifest.write_text(json.dumps(raw))
+
+        text = self._select_after(tmp_path, caplog, old_schema)
+        assert "stale: rerun `taskopt ingest` (no record of it in " \
+            "run_manifest.json)" in text
+
+    def test_unchanged_rerun_is_not_stale(self, tmp_path):
+        config_path, _ = _small_synth(tmp_path)
+        for command in ("ingest", "cluster", "ingest", "select", "cluster", "select"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+
+
+class TestStagedCommit:
+    """A stage's artifacts reach the output directory only when it succeeds."""
+
+    @pytest.mark.parametrize("upstream", [["ingest"], ["ingest", "cluster"]],
+                             ids=["first-run", "rerun"])
+    def test_failed_cluster_leaves_no_new_artifact(self, tmp_path, monkeypatch,
+                                                   caplog, upstream):
+        config_path, out_dir = _small_synth(tmp_path)
+        for command in upstream:
+            assert main([command, "--config", str(config_path)]) == 0
+        # The failing run would write other bytes than the first one did.
+        _edit_config(config_path, "cluster", k_max=5)
+        before = _checksums(out_dir, skip=())
+
+        written = []
+
+        def fail(path, *args, **kwargs):
+            written.extend(p.name for p in path.parent.iterdir())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "scatter_svg", fail)
+        assert main(["cluster", "--config", str(config_path)]) == 2
+        assert "disk full" in caplog.text
+        assert "pca_model.json" in written and "cluster_model.json" in written
+        assert _checksums(out_dir, skip=()) == before
+        assert not (out_dir / ".tmp-cluster").exists()
+
+    def test_leftover_temporary_directory_is_replaced(self, tmp_path):
+        config_path, out_dir = _small_synth(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        leftover = out_dir / ".tmp-cluster" / "pca_model.json"
+        leftover.parent.mkdir()
+        leftover.write_text("half-written")
+        assert main(["cluster", "--config", str(config_path)]) == 0
+        assert not leftover.parent.exists()
+        assert json.loads((out_dir / "pca_model.json").read_text())
 
 
 class TestOddIds:
@@ -412,7 +611,7 @@ class TestStatsJson:
             for cond, value in (("all", 0.25), ("optimized", 0.5), ("cyclic", 0.75))
             for subject in ("a", "b", "c")
         ]
-        payload = _stats_payload(RunConfig(), folds)
+        payload = _stats_payload(["all", "optimized", "cyclic"], folds)
         text = json.dumps(payload, allow_nan=False)
 
         def reject(constant):

@@ -16,6 +16,7 @@ from taskopt.crossval import (
     metrics,
     run_study,
     split_train_val,
+    summarize_condition,
     write_fold_results_csv,
     read_fold_results_csv,
 )
@@ -242,7 +243,7 @@ class TestRunStudy:
         study = run_study(samples, self._conditions(["walk"]), FcnnConfig(),
                           seed=1, trainer=oracle_trainer)
         rmses = [f.rmse for f in study.folds]
-        summary = study.summaries["all"]
+        summary = summarize_condition("all", study.folds)
         assert summary.rmse_mean == pytest.approx(float(np.mean(rmses)))
         assert summary.rmse_std == pytest.approx(float(np.std(rmses, ddof=1)))
 

@@ -6,6 +6,8 @@ than in a traced benchmark run.
 """
 
 import importlib
+import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -50,3 +52,42 @@ def test_payload_mb_still_finds_loso_folds(tracing):
         "nn_config": FcnnConfig(), "seed": 0, "val_fraction": 0.8,
     }
     assert tracing.payload_mb(tracer) > 0.0
+
+
+def test_every_wrapped_cli_name_is_called(tracing, tmp_path, monkeypatch):
+    """Each stage looks the wrapped names up in ``taskopt.cli`` when it runs.
+
+    A stage that kept a reference taken at import time would bypass the
+    tracer, and its spans would silently read 0.
+    """
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data_dir), "--subjects", "4",
+                     "--tasks", "6", "--clusters", "3"]) == 0
+    config_path = data_dir / "config.json"
+    raw = json.loads(config_path.read_text())
+    raw["cluster"].update(k_max=4, restarts=2)
+    raw["nn"].update(hidden=[8], max_epochs=1, patience=1)
+    config_path.write_text(json.dumps(raw))
+
+    before = dict(vars(cli))
+    calls = Counter()
+
+    def counting(name, wrapper):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return wrapper(*args, **kwargs)
+        return counted
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer), monkeypatch.context() as patch:
+        wrapped = {name for name, value in vars(cli).items()
+                   if before[name] is not value}
+        for name in wrapped:
+            patch.setattr(cli, name, counting(name, getattr(cli, name)))
+        for stage in ("ingest", "cluster", "select", "train", "report"):
+            assert cli.main([stage, "--config", str(config_path)]) == 0, stage
+    assert wrapped >= {"load_profiles", "load_sensor_samples", "pca_fit",
+                       "select_components", "select_k", "run_study"}
+    assert {name for name in wrapped if not calls[name]} == set()
+    assert tracer.counters["cluster.kmeans_fits"] > 0
+    assert vars(cli) == before
