@@ -31,6 +31,7 @@ import resource
 import shutil
 import sys
 import time
+import zipfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -48,6 +49,8 @@ from .crossval import (
     write_fold_results_csv,
 )
 from .dataset import (
+    SENSOR_INPUT_DIM,
+    SampleTable,
     TaskManifest,
     exclude_subjects,
     load_profiles,
@@ -72,6 +75,8 @@ log = logging.getLogger("taskopt")
 FEATURE_MATRIX = "feature_matrix.npy"
 ROW_LABELS = "row_labels.csv"
 INGEST_REPORT = "ingest_report.json"
+SENSOR_SAMPLES = "sensor_samples.npz"
+SENSOR_TRIALS = "sensor_trials.csv"
 CLUSTER_MODEL = "cluster_model.json"
 CONDITIONS = "conditions.json"
 FOLD_RESULTS = "fold_results.csv"
@@ -101,7 +106,6 @@ def _missing(path: Path, producer: str) -> MissingArtifactError:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -111,14 +115,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _write_json(path: Path, payload, **options) -> None:
     """``payload`` as one JSON document: indented, keys sorted, unless ``options`` differ."""
     options = {"indent": 2, "sort_keys": True} | options
-    path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(payload, **options) + "\n", encoding="utf-8")
 
 
-def _read_row_labels(path: Path, n_rows: int) -> list[tuple[str, str, str]]:
-    """The (subject, task, trial) labels of ``n_rows`` matrix rows."""
+def _read_row_labels(path: Path, n_rows: int | None = None) -> list[tuple[str, str, str]]:
+    """The (subject, task, trial) labels after the header; ``n_rows`` of them if given."""
     with path.open("r", encoding="utf-8", newline="") as fh:
         labels = [tuple(row) for row in list(csv.reader(fh))[1:]]
+    n_rows = len(labels) if n_rows is None else n_rows
     if len(labels) != n_rows or any(len(label) != 3 for label in labels):
         raise DataFormatError(f"{path}: expected {n_rows} rows of 3 cells "
                               "(subject, task, trial) after the header")
@@ -141,15 +145,22 @@ def _read_feature_matrix(out: Path) -> tuple[np.ndarray, list[tuple[str, str, st
     return rows, _read_row_labels(out / ROW_LABELS, rows.shape[0])
 
 
-def _read_kept_subjects(path: Path) -> set[str]:
-    """The subjects that ``ingest`` kept, from its report."""
-    try:
-        kept = json.loads(path.read_text(encoding="utf-8"))["exclusion"]["kept_subjects"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: no exclusion.kept_subjects ({exc!r})") from exc
-    if not isinstance(kept, list) or not all(isinstance(s, str) for s in kept):
-        raise DataFormatError(f"{path}: exclusion.kept_subjects is not a list of ids")
-    return set(kept)
+def _read_samples(out: Path) -> SampleTable:
+    """The ingest stage's sensor table, its arrays checked against its trial keys."""
+    keys = np.array(_read_row_labels(out / SENSOR_TRIALS), dtype=object).reshape(-1, 3)
+    path = out / SENSOR_SAMPLES
+    try:  # an .npy file loads as an array, which is no context manager: TypeError
+        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            x, y, times, codes = (archive[name] for name in ("x", "y", "times", "codes"))
+    except (OSError, ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise DataFormatError(f"{path}: not a sensor table ({exc!r})") from exc
+    n = codes.size
+    if not (x.shape == (n, SENSOR_INPUT_DIM) and y.shape == times.shape == codes.shape == (n,)
+            and x.dtype.kind == y.dtype.kind == times.dtype.kind == "f" and codes.dtype.kind == "i"
+            and (n == 0 or 0 <= codes.min() <= codes.max() < len(keys))):
+        raise DataFormatError(f"{path}: expected float x (n, {SENSOR_INPUT_DIM}), y and times "
+                              f"(n,), and int codes (n,) below the {len(keys)} trial keys")
+    return SampleTable(x=x, y=y, times=times, codes=codes, keys=keys)
 
 
 def _read_manifest(out: Path) -> dict:
@@ -213,24 +224,32 @@ def cmd_synth(args) -> None:
 
 def cmd_ingest(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     manifest = TaskManifest.from_json(cfg.paths.tasks)
-    matrix, stats = load_profiles(
-        cfg.paths.profiles, manifest, cfg.dataset.target_length
-    )
-    matrix, exclusion = exclude_subjects(
-        matrix, cfg.study.min_cyclic_trials, manifest
-    )
+    matrix, stats = load_profiles(cfg.paths.profiles, manifest, cfg.dataset.target_length)
+    matrix, exclusion = exclude_subjects(matrix, cfg.study.min_cyclic_trials, manifest)
     for subject, count in exclusion.dropped:
         log.info("excluding subject %s (%d cyclic trial(s) < %d)",
                  subject, count, cfg.study.min_cyclic_trials)
     if not matrix.n:
         raise TaskOptError("no profiles left after subject exclusion")
+    samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
+    kept = samples.isin("subject", exclusion.kept_subjects)
+    dropped, counts = np.unique(samples.subjects[~kept], return_counts=True)
+    dropped_rows = dict(zip(dropped.tolist(), counts.tolist()))
+    if dropped_rows:
+        log.info("dropping the sensor rows of subjects not kept: %s", dropped_rows)
+    samples = samples.subset(kept)
     np.save(tmp / FEATURE_MATRIX, matrix.rows)
     _write_csv(tmp / ROW_LABELS, ["subject", "task", "trial"], matrix.row_labels)
+    np.savez(tmp / SENSOR_SAMPLES, x=samples.x, y=samples.y, times=samples.times,
+             codes=samples.codes)
+    _write_csv(tmp / SENSOR_TRIALS, ["subject", "task", "trial"], samples.keys.tolist())
     _write_json(tmp / INGEST_REPORT, {
         "profiles": stats.to_dict(),
         "exclusion": exclusion.to_dict(),
         "matrix": {"n": matrix.n, "d": matrix.d,
                    "target_length": cfg.dataset.target_length},
+        "sensors": sensor_stats.to_dict(),
+        "sensor_rows_dropped_subject": dropped_rows,
     })
     log.info("feature matrix %d x %d from %d subjects",
              matrix.n, matrix.d, len(exclusion.kept_subjects))
@@ -316,34 +335,25 @@ def cmd_train(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     missing = [name for name in cfg.study.conditions if name not in conditions]
     if missing:
         raise DataFormatError(f"{conditions_path}: no condition(s) {missing}")
-    kept_subjects = _read_kept_subjects(out / INGEST_REPORT)
-    manifest = TaskManifest.from_json(cfg.paths.tasks)
-    samples, sensor_stats = load_sensor_samples(cfg.paths.sensors, manifest)
-    kept = samples.isin("subject", kept_subjects)
-    dropped, counts = np.unique(samples.subjects[~kept], return_counts=True)
-    dropped_rows = dict(zip(dropped.tolist(), counts.tolist()))
-    for subject, n in dropped_rows.items():
-        log.info("dropping %d sensor row(s) of subject %s: not kept at ingest",
-                 n, subject)
-    samples = samples.subset(kept)
+    samples = _read_samples(out)
     selected = {name: conditions[name] for name in cfg.study.conditions}
     for name, task_set in selected.items():
         # With >= 2 such subjects, no fold's train pool is empty.
         n = len(samples.subset(samples.isin("task", task_set.tasks)).subject_set())
         if n < 2:
             raise DataFormatError(
-                f"{cfg.paths.sensors}: condition {name!r} has sensor rows of its "
+                f"{out / SENSOR_SAMPLES}: condition {name!r} has sensor rows of its "
                 f"tasks for {n} kept subject(s); leave-one-subject-out needs >= 2")
     log.info("training %d condition(s) x %d subject(s), jobs=%d",
              len(selected), len(samples.subject_set()), jobs)
-    study = run_study(
-        samples, selected, cfg.nn, seed=cfg.seed,
-        val_fraction=cfg.study.val_fraction, jobs=jobs,
-    )
+    study = run_study(samples, selected, cfg.nn, seed=cfg.seed,
+                      val_fraction=cfg.study.val_fraction, jobs=jobs)
     for cond, subject, reason in study.skipped:
         log.warning("skipped fold (%s, %s): %s", cond, subject, reason)
 
     write_fold_results_csv(study.folds, tmp / FOLD_RESULTS)
+    (tmp / "histories").mkdir()
+    (tmp / "checkpoints").mkdir()
     for (cond, subject), history in study.histories.items():
         _write_csv(tmp / "histories" /
                    f"history_{_safe_name(cond)}_{_safe_name(subject)}.csv",
@@ -354,12 +364,8 @@ def cmd_train(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
                     f"model_{_safe_name(cond)}_{_safe_name(subject)}.json",
                     checkpoint, indent=None)
     _write_json(tmp / "train_report.json", {
-        "sensors": sensor_stats.to_dict(),
-        "sensor_rows_dropped_subject": dropped_rows,
-        "skipped_folds": [
-            {"condition": c, "subject": s, "reason": r}
-            for c, s, r in study.skipped
-        ],
+        "skipped_folds": [{"condition": c, "subject": s, "reason": r}
+                          for c, s, r in study.skipped],
         "n_folds": len(study.folds),
     })
     return {"rows": samples.n, "folds": len(study.folds)}
@@ -427,7 +433,7 @@ def _write_bar_chart(tmp: Path, name: str, metric: str, summaries, folds) -> Non
                 for i, c in enumerate(labels)))
 
 
-def _write_traces(cfg: RunConfig, out: Path, tmp: Path, folds, present, manifest) -> None:
+def _write_traces(out: Path, tmp: Path, folds, present, manifest) -> None:
     """Predicted-vs-truth sample traces for a median-performance subject."""
     anchor = "optimized" if "optimized" in present else present[0]
     anchor_folds = sorted(
@@ -435,7 +441,7 @@ def _write_traces(cfg: RunConfig, out: Path, tmp: Path, folds, present, manifest
     )
     subject = anchor_folds[len(anchor_folds) // 2].left_out
 
-    samples, _ = load_sensor_samples(cfg.paths.sensors, manifest)
+    samples = _read_samples(out)
     samples = samples.subset(samples.isin("subject", [subject]))
     tasks = sorted(set(samples.tasks))
     cyclic = [t for t in tasks if manifest.is_cyclic(t)]
@@ -455,10 +461,11 @@ def _write_traces(cfg: RunConfig, out: Path, tmp: Path, folds, present, manifest
             raise DataFormatError(f"{path}: input_dim {model.config.input_dim} "
                                   f"!= {samples.x.shape[1]} sensor columns")
 
+    (tmp / "traces").mkdir()
     for task in chosen:
-        in_task = samples.tasks == task
+        in_task = samples.isin("task", [task])
         first_trial = min(samples.trials[in_task])
-        trial = samples.subset(in_task & (samples.trials == first_trial))
+        trial = samples.subset(in_task & samples.isin("trial", [first_trial]))
         preds = [m.predict(trial.x).reshape(-1) for m in models.values()]
         _write_csv(tmp / "traces" / f"trace_{_safe_name(task)}.csv",
                    ["time_s", "truth"] + [f"pred_{c}" for c in models],
@@ -492,7 +499,7 @@ def cmd_report(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
 
     _write_bar_chart(tmp, "rmse_bars", "rmse", summaries, folds)
     _write_bar_chart(tmp, "r2_bars", "r2", summaries, folds)
-    _write_traces(cfg, out, tmp, folds, present, manifest)
+    _write_traces(out, tmp, folds, present, manifest)
     return {"folds": len(folds)}
 
 
@@ -516,9 +523,9 @@ class Stage:
 
 
 STAGES = {
-    "ingest": Stage(cmd_ingest, "validate inputs and build the feature matrix", {},
-                    ("paths.profiles", "paths.tasks", "dataset",
-                     "study.min_cyclic_trials")),
+    "ingest": Stage(cmd_ingest, "validate inputs; build the feature matrix and sensor table",
+                    {}, ("paths.profiles", "paths.sensors", "paths.tasks", "dataset",
+                         "study.min_cyclic_trials")),
     "cluster": Stage(cmd_cluster, "fit PCA and scan K by silhouette",
                      {FEATURE_MATRIX: "ingest", ROW_LABELS: "ingest"},
                      ("pca", "cluster", "seed")),
@@ -526,12 +533,11 @@ STAGES = {
                     {CLUSTER_MODEL: "cluster", ROW_LABELS: "ingest"},
                     ("paths.tasks",)),
     "train": Stage(cmd_train, "run the leave-one-subject-out study",
-                   {CONDITIONS: "select", INGEST_REPORT: "ingest"},
-                   ("paths.sensors", "paths.tasks", "nn", "study.conditions",
-                    "study.val_fraction", "seed")),
+                   {CONDITIONS: "select", SENSOR_SAMPLES: "ingest", SENSOR_TRIALS: "ingest"},
+                   ("nn", "study.conditions", "study.val_fraction", "seed")),
     "report": Stage(cmd_report, "summaries, statistics, and figures",
-                    {FOLD_RESULTS: "train"},
-                    ("paths.sensors", "paths.tasks", "study.conditions")),
+                    {FOLD_RESULTS: "train", SENSOR_SAMPLES: "ingest", SENSOR_TRIALS: "ingest"},
+                    ("paths.tasks", "study.conditions")),
 }
 
 
@@ -567,6 +573,14 @@ def _check_fresh(name: str, cfg: RunConfig, commands: dict) -> None:
             raise MissingArtifactError(f"stale: rerun `taskopt {stage}` ({reason})")
 
 
+def _stale_files(out: Path, entry, written) -> list[Path]:
+    """Files under ``out`` that a stage's earlier manifest ``entry`` lists, less ``written``."""
+    listed = entry.get("artifacts") if isinstance(entry, dict) else None
+    names = listed.keys() - written if isinstance(listed, dict) else ()
+    return [out / name for name in names
+            if (out / name).is_file() and (out / name).resolve().is_relative_to(out.resolve())]
+
+
 def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> None:
     """Run one stage of ``STAGES`` and commit its artifacts, then its manifest entry."""
     start = time.perf_counter()
@@ -576,7 +590,8 @@ def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> None:
     for artifact, producer in stage.reads.items():
         if not (out / artifact).exists():
             raise _missing(out / artifact, producer)
-    _check_fresh(name, cfg, _read_manifest(out))
+    commands = _read_manifest(out)
+    _check_fresh(name, cfg, commands)
 
     tmp = out / f".tmp-{name}"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -589,9 +604,12 @@ def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> None:
                    if field.startswith("paths.")}
         artifacts = {path.relative_to(tmp).as_posix(): _sha256(path)
                      for path in sorted(tmp.rglob("*")) if path.is_file()}
+        for parent in {(out / artifact).parent for artifact in artifacts}:
+            parent.mkdir(parents=True, exist_ok=True)
         for artifact in artifacts:
-            (out / artifact).parent.mkdir(parents=True, exist_ok=True)
             os.replace(tmp / artifact, out / artifact)
+        for path in _stale_files(out, commands.get(name), artifacts.keys()):
+            path.unlink()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     _record(out, name, {

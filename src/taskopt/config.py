@@ -109,9 +109,9 @@ _SECTION_TYPES = {
 }
 
 
-# Set by the pipeline, not the config: the 14 sensor channels, the one
-# target, and each fold's training seed (derived from the run seed).
-_FIXED_FIELDS = {"nn": {"input_dim", "output_dim", "seed"}}
+# Set by the pipeline, not the config: the 14 sensor channels and each
+# fold's training seed (derived from the run seed).
+_FIXED_FIELDS = {"nn": {"input_dim", "seed"}}
 
 
 def _build_section(name: str, cls, raw: dict, problems: list[str]):

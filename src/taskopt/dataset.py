@@ -243,10 +243,11 @@ class SampleTable:
         """Mask of the rows whose ``column`` id is in ``ids``.
 
         ``column`` is "subject", "task" or "trial". One test per trial,
-        then one gather per row.
+        then one gather per row. The ids stay Python strings: a NumPy str
+        array would drop their trailing NULs.
         """
         in_ids = np.isin(self.keys[:, ("subject", "task", "trial").index(column)],
-                         list(ids))
+                         np.array(list(ids), dtype=object))
         return in_ids[self.codes]
 
     def subject_set(self) -> set[str]:

@@ -28,7 +28,6 @@ class FcnnConfig:
 
     input_dim: int = 14
     hidden: tuple[int, ...] = (50, 50, 50)
-    output_dim: int = 1
     dropout_rate: float = 0.2
     learning_rate: float = 1e-3
     batch_size: int = 64
@@ -46,8 +45,6 @@ class FcnnConfig:
         problems = []
         if self.input_dim < 1:
             problems.append(f"input_dim={self.input_dim} must be positive")
-        if self.output_dim < 1:
-            problems.append(f"output_dim={self.output_dim} must be positive")
         if any(h < 1 for h in self.hidden):
             problems.append(f"hidden={self.hidden} must be positive sizes")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -97,7 +94,7 @@ class FcnnModel:
         self.input_mean = np.zeros(config.input_dim)
         self.input_std = np.ones(config.input_dim)
 
-        dims = [config.input_dim, *config.hidden, config.output_dim]
+        dims = [config.input_dim, *config.hidden, 1]
         names = [f"h{i}" for i in range(len(config.hidden))] + ["out"]
         self._shapes, self._state_shapes = {}, {}  # name -> shape, in vector order
         for name, fan_in, fan_out in zip(names, dims, dims[1:]):
@@ -261,7 +258,7 @@ def loss_and_gradients(
     Running statistics are not modified.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1, model.config.output_dim)
+    y = np.asarray(y, dtype=float).reshape(-1, 1)
     if model.config.dropout_rate > 0.0 and masks is None:
         raise ValueError("dropout is active: pass the dropout masks")
     if x.shape[0] < 2:
@@ -412,8 +409,7 @@ def train(
         y_epoch, epoch_losses = y_train[order], []
         for start, stop in _batch_bounds(n, config.batch_size):
             masks = model.draw_dropout_masks(stop - start, rng)
-            loss = backprop(x_epoch[start:stop], y_epoch[start:stop].reshape(
-                -1, model.config.output_dim), masks)
+            loss = backprop(x_epoch[start:stop], y_epoch[start:stop].reshape(-1, 1), masks)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
             stats *= momentum

@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FeatureMatrix
-
 
 @dataclass
 class PcaModel:
@@ -60,9 +58,8 @@ class PcaModel:
         )
 
 
-def _as_array(matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
-    rows = matrix.rows if isinstance(matrix, FeatureMatrix) else np.asarray(matrix)
-    rows = np.asarray(rows, dtype=float)
+def _as_array(matrix: np.ndarray) -> np.ndarray:
+    rows = np.asarray(matrix, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     return rows
@@ -80,7 +77,7 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit(matrix: FeatureMatrix | np.ndarray, standardize: bool = True) -> PcaModel:
+def pca_fit(matrix: np.ndarray, standardize: bool = True) -> PcaModel:
     """Fit a PCA model on the column-centered (optionally z-scored) matrix.
 
     Zero-variance columns get scale 1.0 instead of dividing by zero.
@@ -151,7 +148,7 @@ def select_components(model: PcaModel, threshold: float) -> tuple[int, float]:
 
 def pca_transform(
     model: PcaModel,
-    matrix: FeatureMatrix | np.ndarray,
+    matrix: np.ndarray,
     p: int | None = None,
 ) -> np.ndarray:
     """Project rows onto the first ``p`` component axes."""

@@ -326,7 +326,7 @@ def forward_train_unfused(model, x, masks):
 def loss_grads_unfused(model, x, y, masks):
     """Batch MSE, the flat gradient vector and the forward cache."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1, model.config.output_dim)
+    y = np.asarray(y, dtype=float).reshape(-1, 1)
     b = x.shape[0]
     pred, cache = forward_train_unfused(model, x, masks)
     diff = pred - y

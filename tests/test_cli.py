@@ -10,7 +10,8 @@ import pytest
 
 from taskopt import cli
 from taskopt.cli import _read_row_labels, _safe_name, _stats_payload, main
-from taskopt.crossval import FoldResult
+from taskopt.crossval import FoldResult, read_fold_results_csv
+from taskopt.dataset import TaskManifest, load_sensor_samples
 from taskopt.nn import FcnnModel
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -63,6 +64,7 @@ class TestFullPipeline:
         _, out_dir = pipeline
         expected = [
             "feature_matrix.npy", "row_labels.csv", "ingest_report.json",
+            "sensor_samples.npz", "sensor_trials.csv",
             "pca_model.json", "pca_selection.json", "pca_scores.csv",
             "pca_scatter.svg", "cluster_model.json", "silhouette_scan.csv",
             "task_weights.csv", "conditions.json", "fold_results.csv",
@@ -115,11 +117,14 @@ class TestFullPipeline:
                 on_disk = written[name] if name in written else _sha256(Path(name))
                 assert digest == on_disk, name
         paths = raw["paths"]
-        assert set(commands["ingest"]["inputs"]) == {paths["profiles"], paths["tasks"]}
+        sensor_table = {"sensor_samples.npz", "sensor_trials.csv"}
+        assert set(commands["ingest"]["inputs"]) == {paths["profiles"], paths["sensors"],
+                                                     paths["tasks"]}
         assert set(commands["cluster"]["inputs"]) == {"feature_matrix.npy",
                                                       "row_labels.csv"}
-        assert set(commands["train"]["inputs"]) == {
-            "conditions.json", "ingest_report.json", paths["sensors"], paths["tasks"]}
+        assert set(commands["train"]["inputs"]) == {"conditions.json", *sensor_table}
+        assert set(commands["report"]["inputs"]) == {"fold_results.csv", *sensor_table,
+                                                     paths["tasks"]}
         assert commands["cluster"]["config"] == {
             "pca": raw["pca"], "cluster": raw["cluster"], "seed": raw["seed"]}
         assert commands["ingest"]["counts"] == {"rows": 72}
@@ -251,14 +256,17 @@ def _rewrite_sensors(config_path, keep):
 
 class TestBadSensors:
     def _train_after(self, tmp_path, caplog, keep):
+        """Re-ingest sensors that keep only ``keep``'s rows; ``train`` then refuses them."""
         config_path, out_dir = _small_synth(tmp_path)
         for command in ("ingest", "cluster", "select"):
             assert main([command, "--config", str(config_path)]) == 0
         conditions = json.loads((out_dir / "conditions.json").read_text())
-        sensors = _rewrite_sensors(config_path, lambda row: keep(row, conditions))
+        _rewrite_sensors(config_path, lambda row: keep(row, conditions))
+        # The profiles are unchanged, so cluster and select stay fresh.
+        assert main(["ingest", "--config", str(config_path)]) == 0
         assert main(["train", "--config", str(config_path)]) == 2
         assert "unexpected failure" not in caplog.text
-        assert str(sensors) in caplog.text
+        assert str(out_dir / "sensor_samples.npz") in caplog.text
         assert not (out_dir / "fold_results.csv").exists()
 
     def test_train_rejects_sensors_of_one_subject(self, tmp_path, caplog):
@@ -272,21 +280,24 @@ class TestBadSensors:
         self._train_after(tmp_path, caplog, keep)
         assert "condition 'optimized'" in caplog.text
 
-    def test_train_counts_rows_of_subjects_not_kept(self, tmp_path, caplog):
+    def test_ingest_counts_rows_of_subjects_not_kept(self, tmp_path, caplog):
         caplog.set_level("INFO", logger="taskopt")
         config_path, out_dir = _small_synth(tmp_path)
-        for command in ("ingest", "cluster", "select"):
-            assert main([command, "--config", str(config_path)]) == 0
         path = Path(json.loads(config_path.read_text())["paths"]["sensors"])
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         extra = [["s,99", *row[1:]] for row in rows if row[0] == "s01"]
         with path.open("a", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(extra)
-        assert main(["train", "--config", str(config_path)]) == 0
-        report = json.loads((out_dir / "train_report.json").read_text())
+        for command in ("ingest", "cluster", "select", "train"):
+            assert main([command, "--config", str(config_path)]) == 0
+        report = json.loads((out_dir / "ingest_report.json").read_text())
         assert report["sensor_rows_dropped_subject"] == {"s,99": len(extra)}
-        assert f"dropping {len(extra)} sensor row(s) of subject s,99" in caplog.text
+        assert report["sensors"]["rows_read"] == len(rows) + len(extra)
+        assert "sensor_rows_dropped_subject" not in \
+            json.loads((out_dir / "train_report.json").read_text())
+        assert f"{{'s,99': {len(extra)}}}" in caplog.text
+        assert "s,99" not in cli._read_samples(out_dir).subject_set()
 
 
 class TestBadIngestArtifacts:
@@ -348,11 +359,8 @@ class TestBadIngestArtifacts:
          "expected {name:"),
         ("conditions.json", '{"all": {"tasks": [], "source": "x"}}',
          "no condition(s) ['optimized', 'cyclic']"),
-        ("ingest_report.json", '{"profiles": {}}', "no exclusion.kept_subjects"),
-        ("ingest_report.json", '{"exclusion": {"kept_subjects": "s01"}}',
-         "not a list of ids"),
     ], ids=["conditions-not-json", "conditions-list", "conditions-tasks-string",
-            "conditions-missing", "report-no-exclusion", "report-kept-string"])
+            "conditions-missing"])
     def test_train_rejects_bad_upstream_json(self, tmp_path, caplog, name, content,
                                              message):
         out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster", "select"],
@@ -361,6 +369,53 @@ class TestBadIngestArtifacts:
         assert message in caplog.text
         assert not (out_dir / "fold_results.csv").exists()
 
+    @staticmethod
+    def _edit_archive(edit):
+        def damage(path):
+            with path.open("rb") as fh, np.load(fh) as archive:
+                arrays = dict(archive)
+            edit(arrays)
+            with path.open("wb") as fh:
+                np.savez(fh, **arrays)
+        return damage
+
+    @staticmethod
+    def _write_npy(path):
+        with path.open("wb") as fh:
+            np.save(fh, np.zeros((4, 14)))
+
+    @staticmethod
+    def _cut_a_cell(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+
+    @pytest.mark.parametrize("name, damage, message", [
+        ("sensor_samples.npz", _write_npy, "not a sensor table (TypeError"),
+        ("sensor_samples.npz", lambda path: path.write_text("x,y\n"),
+         "not a sensor table (ValueError"),
+        ("sensor_samples.npz", _edit_archive(lambda arrays: arrays.pop("codes")),
+         "not a sensor table (KeyError"),
+        ("sensor_samples.npz", _edit_archive(lambda arrays: arrays.update(
+            x=arrays["x"][:, :13])), "expected float x (n, 14)"),
+        ("sensor_samples.npz", _edit_archive(lambda arrays: arrays["codes"].__setitem__(
+            -1, 10_000)), "below the 48 trial keys"),
+        ("sensor_trials.csv", _cut_a_cell, "expected 48 rows of 3 cells"),
+    ], ids=["npy-file", "text", "no-codes", "x-13-columns", "code-past-keys",
+            "trials-2-cells"])
+    def test_train_rejects_bad_sensor_table(self, tmp_path, caplog, name, damage, message):
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster", "select"],
+                                    name, damage, "train")
+        assert message in caplog.text
+        assert not (out_dir / "fold_results.csv").exists()
+
+    def test_report_rejects_bad_sensor_table(self, tmp_path, caplog):
+        damage = self._edit_archive(lambda arrays: arrays.update(x=arrays["x"][:, :13]))
+        out_dir = self._damage_then(tmp_path, caplog,
+                                    ["ingest", "cluster", "select", "train"],
+                                    "sensor_samples.npz", damage, "report")
+        assert "expected float x (n, 14)" in caplog.text
+        assert not (out_dir / "summary.csv").exists()
 
     @pytest.mark.parametrize("content, message", [
         ("{not json", "not a cluster model (JSONDecodeError"),
@@ -433,7 +488,7 @@ class TestNotUtf8Input:
     ], ids=["latin-1-id", "utf-16-bom"])
     @pytest.mark.parametrize("which, upstream, command", [
         ("profiles", [], "ingest"),
-        ("sensors", ["ingest", "cluster", "select"], "train"),
+        ("sensors", [], "ingest"),
     ], ids=["profiles", "sensors"])
     def test_named_with_exit_2(self, tmp_path, caplog, which, upstream, command,
                                encode):
@@ -571,6 +626,42 @@ class TestStagedCommit:
         assert not leftover.parent.exists()
         assert json.loads((out_dir / "pca_model.json").read_text())
 
+    def test_rerun_deletes_files_the_stage_no_longer_writes(self, tmp_path):
+        config_path, out_dir = _small_synth(tmp_path)
+        _edit_config(config_path, "nn", max_epochs=1, patience=1)
+        for command in ("ingest", "cluster", "select", "train", "report"):
+            assert main([command, "--config", str(config_path)]) == 0
+        stale_trace = out_dir / "traces" / "trace_gone.csv"
+        stale_trace.write_text("time_s,truth\n")
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        manifest["commands"]["report"]["artifacts"]["traces/trace_gone.csv"] = "0"
+        (out_dir / "run_manifest.json").write_text(json.dumps(manifest))
+        assert list((out_dir / "checkpoints").glob("model_all_*"))
+
+        _edit_config(config_path, "study", conditions=["optimized"])
+        for command in ("train", "report"):
+            assert main([command, "--config", str(config_path)]) == 0
+        left = {p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file()}
+        assert not [name for name in left
+                    if name.startswith(("checkpoints/model_all_", "histories/history_all_",
+                                        "checkpoints/model_cyclic_",
+                                        "histories/history_cyclic_"))]
+        assert not stale_trace.exists()
+        commands = json.loads((out_dir / "run_manifest.json").read_text())["commands"]
+        listed = {name for entry in commands.values() for name in entry["artifacts"]}
+        assert left - {"run_manifest.json"} == listed
+
+    def test_damaged_entry_deletes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "outside.txt").write_text("keep")
+        (out / "kept.txt").write_text("keep")
+        entry = {"artifacts": {"../outside.txt": "0", "kept.txt": "0", "gone.txt": "0"}}
+        assert cli._stale_files(out, entry, {"kept.txt"}) == []
+        assert cli._stale_files(out, {"artifacts": ["kept.txt"]}, set()) == []
+        assert cli._stale_files(out, "damaged", set()) == []
+        assert cli._stale_files(out, entry, set()) == [out / "kept.txt"]
+
 
 class TestOddIds:
     def test_comma_in_subject_id_survives_cluster_and_select(self, tmp_path):
@@ -594,6 +685,45 @@ class TestOddIds:
         assert {s for s, _, _ in labels} == {odd, "s02", "s03", "s04"}
         assert [tuple(row[:3]) for row in scores] == labels
         assert {len(row) for row in scores} == {len(header)}
+
+    def test_odd_sensor_ids_survive_ingest_and_train(self, tmp_path):
+        """Ids with a comma, a quote, a newline and a trailing NUL keep every character."""
+        config_path, out_dir = _small_synth(tmp_path)
+        _edit_config(config_path, "nn", max_epochs=1, patience=1)
+        paths = json.loads(config_path.read_text())["paths"]
+        odd = {"s01": 's,0"1', "s02": "s\n02", "s03": "s03\x00"}
+        for key in ("profiles", "sensors"):
+            path = Path(paths[key])
+            with path.open(newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            rows = [[odd.get(row[0], row[0]), row[1], row[2] + "\x00", *row[3:]]
+                    for row in rows]
+            if key == "sensors":  # a subject without profiles is not kept
+                rows += [["s05\x00", *row[1:]] for row in rows[:40]]
+            with path.open("w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+        for command in ("ingest", "cluster", "select", "train"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+
+        manifest = TaskManifest.from_json(paths["tasks"])
+        loaded, _ = load_sensor_samples(paths["sensors"], manifest)
+        kept = {*odd.values(), "s04"}
+        expected = loaded.subset(np.array([s in kept for s in loaded.subjects.tolist()]))
+        table = cli._read_samples(out_dir)
+        for name in ("x", "y", "times", "codes"):
+            assert np.array_equal(getattr(table, name), getattr(expected, name)), name
+            assert getattr(table, name).dtype == getattr(expected, name).dtype, name
+        assert table.keys.dtype == object
+        assert table.keys.tolist() == expected.keys.tolist()
+        assert "s05\x00" in table.keys[:, 0].tolist()
+        assert "s05\x00" not in table.subject_set()
+        folds = read_fold_results_csv(out_dir / "fold_results.csv")
+        assert {f.left_out for f in folds} == kept
+        assert {f.n_test for f in folds} == {480}
+
+        assert main(["report", "--config", str(config_path)]) == 0
+        traces = list((out_dir / "traces").iterdir())
+        assert traces and all(len(p.read_text().splitlines()) > 2 for p in traces)
 
     def test_safe_name_is_injective(self):
         ids = ["a b", "a_b", "a/b", "a%20b", "a.b", "A_b"]

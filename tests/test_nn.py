@@ -244,8 +244,7 @@ class TestGradients:
 class TestTraining:
     def test_linear_neuron_learns_slope_two(self):
         # Noiseless y = 2x has least-squares optimum w = 2, b = 0.
-        config = FcnnConfig(input_dim=1, hidden=(), output_dim=1,
-                            dropout_rate=0.0, learning_rate=0.05,
+        config = FcnnConfig(input_dim=1, hidden=(), dropout_rate=0.0, learning_rate=0.05,
                             batch_size=32, max_epochs=300, patience=300,
                             seed=0, normalize_inputs=False)
         model = FcnnModel(config)

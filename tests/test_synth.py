@@ -77,9 +77,9 @@ class TestStructure:
         manifest = TaskManifest.from_json(result.tasks_path)
         matrix, _ = load_profiles(result.profiles_path, manifest,
                                   spec.cycle_length)
-        model = pca_fit(matrix)
+        model = pca_fit(matrix.rows)
         p, _ = select_components(model, 0.70)
-        scores = pca_transform(model, matrix, p)
+        scores = pca_transform(model, matrix.rows, p)
         scan = select_k(scores, range(2, 7), seed=1)
         assert max(s for _, s in scan.table) < 0.3
 

@@ -89,5 +89,8 @@ def test_every_wrapped_cli_name_is_called(tracing, tmp_path, monkeypatch):
     assert wrapped >= {"load_profiles", "load_sensor_samples", "pca_fit",
                        "select_components", "select_k", "run_study"}
     assert {name for name in wrapped if not calls[name]} == set()
+    # ingest parses each input CSV; later stages read its artifacts.
+    assert calls["load_profiles"] == calls["load_sensor_samples"] == 1
+    assert tracer.counters["dataset.sensor_loads"] == 1
     assert tracer.counters["cluster.kmeans_fits"] > 0
     assert vars(cli) == before
