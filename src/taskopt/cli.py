@@ -52,6 +52,7 @@ from .dataset import (
     SENSOR_INPUT_DIM,
     SampleTable,
     TaskManifest,
+    _utf8_rows,
     exclude_subjects,
     load_profiles,
     load_sensor_samples,
@@ -121,7 +122,7 @@ def _write_json(path: Path, payload, **options) -> None:
 def _read_row_labels(path: Path, n_rows: int | None = None) -> list[tuple[str, str, str]]:
     """The (subject, task, trial) labels after the header; ``n_rows`` of them if given."""
     with path.open("r", encoding="utf-8", newline="") as fh:
-        labels = [tuple(row) for row in list(csv.reader(fh))[1:]]
+        labels = [tuple(row) for row in list(_utf8_rows(path, csv.reader(fh)))[1:]]
     n_rows = len(labels) if n_rows is None else n_rows
     if len(labels) != n_rows or any(len(label) != 3 for label in labels):
         raise DataFormatError(f"{path}: expected {n_rows} rows of 3 cells "
@@ -238,11 +239,12 @@ def cmd_ingest(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     if dropped_rows:
         log.info("dropping the sensor rows of subjects not kept: %s", dropped_rows)
     samples = samples.subset(kept)
+    used, codes = np.unique(samples.codes, return_inverse=True)  # keys of trials with rows
     np.save(tmp / FEATURE_MATRIX, matrix.rows)
     _write_csv(tmp / ROW_LABELS, ["subject", "task", "trial"], matrix.row_labels)
     np.savez(tmp / SENSOR_SAMPLES, x=samples.x, y=samples.y, times=samples.times,
-             codes=samples.codes)
-    _write_csv(tmp / SENSOR_TRIALS, ["subject", "task", "trial"], samples.keys.tolist())
+             codes=codes.astype(np.int32))
+    _write_csv(tmp / SENSOR_TRIALS, ["subject", "task", "trial"], samples.keys[used].tolist())
     _write_json(tmp / INGEST_REPORT, {
         "profiles": stats.to_dict(),
         "exclusion": exclusion.to_dict(),
@@ -259,7 +261,7 @@ def cmd_ingest(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
 def cmd_cluster(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     rows, labels = _read_feature_matrix(out)
 
-    model = pca_fit(rows, standardize=cfg.pca.standardize)
+    model = pca_fit(rows)
     p_star, cumulative = select_components(model, cfg.pca.variance_threshold)
     scores = pca_transform(model, rows, p_star)
     log.info("keeping %d principal component(s), cumulative variance %.4f",
@@ -273,8 +275,7 @@ def cmd_cluster(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
             f"no valid K in [{cfg.cluster.k_min}, {cfg.cluster.k_max}] "
             f"for {n} rows"
         )
-    scan = select_k(scores, k_values, seed=cfg.seed,
-                    restarts=cfg.cluster.restarts, max_iter=cfg.cluster.max_iter)
+    scan = select_k(scores, k_values, seed=cfg.seed, restarts=cfg.cluster.restarts)
     log.info("silhouette scan picked K=%d (silhouette %.4f)",
              scan.best_k, scan.model.silhouette)
 

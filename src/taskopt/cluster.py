@@ -94,17 +94,19 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+_MAX_ITER = 300  # Lloyd iterations per restart
+
+
 def _lloyd(
     points: np.ndarray,
     centers: np.ndarray,
-    max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     k = centers.shape[0]
     prev: np.ndarray | None = None
     history: list[float] = []
     assign = np.zeros(points.shape[0], dtype=int)
     d2 = _sq_distances(points, centers)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(points.shape[0]), assign]
         # Repair empty clusters with the points farthest from their
@@ -146,7 +148,6 @@ def kmeans(
     k: int,
     seed: int = 0,
     restarts: int = 10,
-    max_iter: int = 300,
 ) -> ClusterModel:
     """Best-of-``restarts`` k-means with k-means++ seeding.
 
@@ -172,7 +173,7 @@ def kmeans(
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centers = _kmeans_pp_init(points, k, rng)
-        assign, centers, inertia, history = _lloyd(points, centers.copy(), max_iter)
+        assign, centers, inertia, history = _lloyd(points, centers.copy())
         key = (inertia, r)
         if best is None or key < best:
             best = key
@@ -245,7 +246,6 @@ def select_k(
     k_values: Iterable[int],
     seed: int = 0,
     restarts: int = 10,
-    max_iter: int = 300,
 ) -> KScanResult:
     """Fit k-means for each candidate K and keep the silhouette argmax.
 
@@ -261,8 +261,7 @@ def select_k(
         if not (2 <= k <= n - 1):
             raise ValueError(f"k={k} outside the valid range [2, {n - 1}]")
 
-    models = [kmeans(points, k, seed=seed, restarts=restarts, max_iter=max_iter)
-              for k in ks]
+    models = [kmeans(points, k, seed=seed, restarts=restarts) for k in ks]
     dists = _distances(points)
     for model in models:
         model.silhouette = _silhouette(dists, model.assignments)

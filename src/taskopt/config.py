@@ -27,7 +27,6 @@ class DatasetSettings:
 
 @dataclass
 class PcaSettings:
-    standardize: bool = True
     variance_threshold: float = 0.70
 
 
@@ -36,7 +35,6 @@ class ClusterSettings:
     k_min: int = 2
     k_max: int = 12
     restarts: int = 10
-    max_iter: int = 300
 
 
 @dataclass
@@ -72,8 +70,6 @@ class RunConfig:
             problems.append("cluster.k_max: must be >= k_min")
         if self.cluster.restarts < 1:
             problems.append("cluster.restarts: must be >= 1")
-        if self.cluster.max_iter < 1:
-            problems.append("cluster.max_iter: must be >= 1")
         if not self.study.conditions:
             problems.append("study.conditions: must not be empty")
         for cond in self.study.conditions:
@@ -170,19 +166,14 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def default_config_dict(paths: PathSettings, seed: int) -> dict:
-    """A complete config document with library defaults filled in.
-
-    Of ``nn`` it shows the fields a study tunes; the rest keep their
-    defaults when left out.
-    """
-    nn = asdict(FcnnConfig())
+    """A complete config document with library defaults filled in."""
     return {
         "paths": asdict(paths),
         "dataset": asdict(DatasetSettings()),
         "pca": asdict(PcaSettings()),
         "cluster": asdict(ClusterSettings()),
-        "nn": {k: nn[k] for k in ("hidden", "dropout_rate", "learning_rate",
-                                  "batch_size", "max_epochs", "patience")},
+        "nn": {k: v for k, v in asdict(FcnnConfig()).items()
+               if k not in _FIXED_FIELDS["nn"]},
         "study": asdict(StudySettings()),
         "seed": seed,
     }

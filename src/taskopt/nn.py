@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DataFormatError, TrainingDivergedError
 
 _PREDICT_CHUNK = 4096  # rows per eval-mode forward pass
+# Fixed method constants: batch norm (Ioffe & Szegedy 2015) and Adam (Kingma & Ba 2015).
+_BN_EPS, _BN_MOMENTUM = 1e-5, 0.1
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,12 +37,6 @@ class FcnnConfig:
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
-    normalize_inputs: bool = True
 
     def validate(self) -> None:
         problems = []
@@ -136,12 +133,11 @@ class FcnnModel:
 
     def _forward_eval(self, x: np.ndarray) -> np.ndarray:
         a = self._normalize(x)
-        eps = self.config.bn_eps
         for i in range(self.n_hidden):
             z = a @ self.params[f"h{i}.W"]
             z += self.params[f"h{i}.b"]
             z -= self.buffers[f"h{i}.running_mean"]
-            z /= np.sqrt(self.buffers[f"h{i}.running_var"] + eps)
+            z /= np.sqrt(self.buffers[f"h{i}.running_var"] + _BN_EPS)
             z *= self.params[f"h{i}.gamma"]
             z += self.params[f"h{i}.beta"]
             a = np.maximum(z, 0.0, out=z)
@@ -285,7 +281,7 @@ class _Backprop:
         self.layers = [[views[f"h{i}.{name}"] for views, name in names]
                        for i in range(model.n_hidden)]
         self.out = (p["out.W"], p["out.b"], g["out.W"], g["out.b"])
-        self.eps, rate = model.config.bn_eps, model.config.dropout_rate
+        rate = model.config.dropout_rate
         self.keep = 1.0 - rate if rate > 0.0 else None
 
     def forward(self, a: np.ndarray, masks: Sequence[np.ndarray] | None):
@@ -300,7 +296,7 @@ class _Backprop:
             out = z * z
             np.add.reduce(out, axis=0, out=var)
             var /= b
-            invstd = var + self.eps
+            invstd = var + _BN_EPS
             np.divide(1.0, np.sqrt(invstd, out=invstd), out=invstd)
             z *= invstd  # zhat
             np.multiply(z, gamma, out=out)
@@ -383,20 +379,17 @@ def train(
     if x_val.shape[0] == 0:
         raise ValueError("validation set is empty")
 
-    if config.normalize_inputs:
-        std = x_train.std(axis=0)
-        std[std == 0.0] = 1.0
-        model.input_mean = x_train.mean(axis=0)
-        model.input_std = std
+    std = x_train.std(axis=0)
+    std[std == 0.0] = 1.0
+    model.input_mean = x_train.mean(axis=0)
+    model.input_std = std
 
     rng = np.random.default_rng([config.seed, 1])
     flat, state, backprop = model.flat, model.state, _Backprop(model)
     grad, stats = backprop.grad, backprop.stats
     x_epoch = np.empty(x_train.shape)  # C order, as a gathered batch is
-    # Adam (Kingma & Ba 2015): moments m, v and two work vectors.
+    # Adam: moments m, v and two work vectors.
     m, v, u, w = (np.zeros_like(flat) for _ in range(4))
-    beta1, beta2, lr = config.beta1, config.beta2, config.learning_rate
-    momentum = model.config.bn_momentum
     history = TrainHistory()
     best = (flat.copy(), state.copy())
     epochs_since_best = step = 0
@@ -412,20 +405,20 @@ def train(
             loss = backprop(x_epoch[start:stop], y_epoch[start:stop].reshape(-1, 1), masks)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-            stats *= momentum
-            state *= 1.0 - momentum
+            stats *= _BN_MOMENTUM
+            state *= 1.0 - _BN_MOMENTUM
             state += stats
             epoch_losses.append(loss)
 
             # flat -= lr * (m / bias1) / (sqrt(v / bias2) + eps), op for op.
             step += 1
-            m *= beta1
-            m += np.multiply(grad, 1.0 - beta1, out=u)
-            v *= beta2
-            v += np.multiply(np.square(grad, out=u), 1.0 - beta2, out=u)
-            np.multiply(np.divide(m, 1.0 - beta1**step, out=u), lr, out=u)
-            np.sqrt(np.divide(v, 1.0 - beta2**step, out=w), out=w)
-            w += config.adam_eps
+            m *= _BETA1
+            m += np.multiply(grad, 1.0 - _BETA1, out=u)
+            v *= _BETA2
+            v += np.multiply(np.square(grad, out=u), 1.0 - _BETA2, out=u)
+            np.multiply(np.divide(m, 1.0 - _BETA1**step, out=u), config.learning_rate, out=u)
+            np.sqrt(np.divide(v, 1.0 - _BETA2**step, out=w), out=w)
+            w += _ADAM_EPS
             flat -= np.divide(u, w, out=u)
 
         val_mse = mse(model.predict(x_val), y_val)

@@ -1,10 +1,10 @@
 """Principal component analysis of the profile feature matrix.
 
-Columns are centered and, by default, z-scored before the decomposition
-because the matrix mixes Nm/kg, rad, and rad/s units. The component
-basis is computed from the covariance matrix when the feature count is
-at most the row count, and from the Gram matrix otherwise (the two
-share their nonzero spectrum). Component signs are fixed so that each
+Columns are centered and z-scored before the decomposition because the
+matrix mixes Nm/kg, rad, and rad/s units. The component basis is
+computed from the covariance matrix when the feature count is at most
+the row count, and from the Gram matrix otherwise (the two share their
+nonzero spectrum). Component signs are fixed so that each
 component's largest-magnitude entry is positive, which makes the fit
 deterministic.
 """
@@ -77,8 +77,8 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit(matrix: np.ndarray, standardize: bool = True) -> PcaModel:
-    """Fit a PCA model on the column-centered (optionally z-scored) matrix.
+def pca_fit(matrix: np.ndarray) -> PcaModel:
+    """Fit a PCA model on the column-centered, z-scored matrix.
 
     Zero-variance columns get scale 1.0 instead of dividing by zero.
     At most min(n - 1, d) components are kept; in the Gram-matrix route
@@ -93,11 +93,8 @@ def pca_fit(matrix: np.ndarray, standardize: bool = True) -> PcaModel:
         raise ValueError("matrix contains non-finite entries")
 
     mean = rows.mean(axis=0)
-    if standardize:
-        scale = rows.std(axis=0)
-        scale[scale == 0.0] = 1.0
-    else:
-        scale = np.ones(d)
+    scale = rows.std(axis=0)
+    scale[scale == 0.0] = 1.0
     x = (rows - mean) / scale
 
     p_max = min(n - 1, d)

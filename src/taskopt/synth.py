@@ -176,7 +176,7 @@ def _pipeline_separation_ratio(rows: np.ndarray, clusters: np.ndarray) -> float:
     """
     from .pca import pca_fit, pca_transform, select_components
 
-    model = pca_fit(rows, standardize=True)
+    model = pca_fit(rows)
     p, _ = select_components(model, 0.70)
     scores = pca_transform(model, rows, p)
     return _separation_ratio(scores, clusters)

@@ -285,14 +285,17 @@ def load_sensor_samples_rowwise(path, manifest):
 # The unfused training step that ``taskopt.nn`` once ran: every step
 # normalises its batch, rebuilds the named views, and keeps ReLU and
 # dropout as separate operations. ``nn.train`` and ``FcnnModel.predict``
-# must match these bit for bit.
+# must match these bit for bit. The constants are written out here, not
+# imported, so that a changed constant in ``nn`` fails the match.
+
+BN_EPS, BN_MOMENTUM = 1e-5, 0.1
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def forward_train_unfused(model, x, masks):
     """Training-mode forward: the prediction and the cache for the backward pass."""
     if x.shape[0] < 2:
         raise ValueError("training-mode forward needs a batch of at least 2")
-    eps = model.config.bn_eps
     keep = 1.0 - model.config.dropout_rate
     stats = np.empty_like(model.state)
     batch_stats = _views(stats, model._state_shapes)
@@ -303,7 +306,7 @@ def forward_train_unfused(model, x, masks):
         mu = np.mean(z, axis=0, out=batch_stats[f"h{i}.running_mean"])
         zc = z - mu
         var = np.mean(zc * zc, axis=0, out=batch_stats[f"h{i}.running_var"])
-        invstd = 1.0 / np.sqrt(var + eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         zhat = zc * invstd
         bn_out = model.params[f"h{i}.gamma"] * zhat + model.params[f"h{i}.beta"]
         r = np.maximum(bn_out, 0.0)
@@ -363,11 +366,10 @@ def loss_grads_unfused(model, x, y, masks):
 def forward_eval_unfused(model, x):
     """Eval-mode forward with a new array for every intermediate."""
     a = (x - model.input_mean) / model.input_std
-    eps = model.config.bn_eps
     for i in range(model.n_hidden):
         z = a @ model.params[f"h{i}.W"] + model.params[f"h{i}.b"]
         zhat = (z - model.buffers[f"h{i}.running_mean"]) / np.sqrt(
-            model.buffers[f"h{i}.running_var"] + eps
+            model.buffers[f"h{i}.running_var"] + BN_EPS
         )
         a = np.maximum(model.params[f"h{i}.gamma"] * zhat
                        + model.params[f"h{i}.beta"], 0.0)
@@ -397,17 +399,15 @@ def train_unfused(model, train_data, val_data, config=None):
     x_val = np.asarray(val_data[0], dtype=float)
     y_val = np.asarray(val_data[1], dtype=float).reshape(-1)
     n = x_train.shape[0]
-    if config.normalize_inputs:
-        std = x_train.std(axis=0)
-        std[std == 0.0] = 1.0
-        model.input_mean = x_train.mean(axis=0)
-        model.input_std = std
+    std = x_train.std(axis=0)
+    std[std == 0.0] = 1.0
+    model.input_mean = x_train.mean(axis=0)
+    model.input_std = std
 
     rng = np.random.default_rng([config.seed, 1])
     flat, state = model.flat, model.state
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
-    momentum = model.config.bn_momentum
     history = TrainHistory()
     best = (flat.copy(), state.copy())
     epochs_since_best = 0
@@ -420,19 +420,18 @@ def train_unfused(model, train_data, val_data, config=None):
             yb = y_train[batch_idx]
             masks = model.draw_dropout_masks(xb.shape[0], rng)
             loss, g, cache = loss_grads_unfused(model, xb, yb, masks)
-            state *= 1.0 - momentum
-            state += momentum * cache["stats"]
+            state *= 1.0 - BN_MOMENTUM
+            state += BN_MOMENTUM * cache["stats"]
             epoch_losses.append(loss)
 
             step += 1
-            bias1 = 1.0 - config.beta1**step
-            bias2 = 1.0 - config.beta2**step
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * g**2
-            flat -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2)
-                                                          + config.adam_eps)
+            bias1 = 1.0 - BETA1**step
+            bias2 = 1.0 - BETA2**step
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g**2
+            flat -= config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
         val_mse = mse(predict_unfused(model, x_val), y_val)
         history.records.append(

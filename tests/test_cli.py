@@ -10,6 +10,7 @@ import pytest
 
 from taskopt import cli
 from taskopt.cli import _read_row_labels, _safe_name, _stats_payload, main
+from taskopt.config import _FIXED_FIELDS, _SECTION_TYPES
 from taskopt.crossval import FoldResult, read_fold_results_csv
 from taskopt.dataset import TaskManifest, load_sensor_samples
 from taskopt.nn import FcnnModel
@@ -174,12 +175,34 @@ class TestConfigValidation:
         assert rc == 1
         assert "standardise" in caplog.text
 
-    @pytest.mark.parametrize("field", ["seed", "input_dim", "output_dim"])
+    @pytest.mark.parametrize("section, field", [("pca", "standardize"),
+                                                ("cluster", "max_iter")])
+    def test_fixed_method_settings_rejected(self, tmp_path, caplog, section, field):
+        config_path, _ = _small_synth(tmp_path)
+        _edit_config(config_path, section, **{field: 2})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert f"{section}.{field}: unknown field" in caplog.text
+
+    # input_dim and seed are set by the pipeline; output_dim and the fixed
+    # training constants are not settings.
+    @pytest.mark.parametrize("field", ["seed", "input_dim", "output_dim", "beta1", "beta2",
+                                       "adam_eps", "bn_momentum", "bn_eps",
+                                       "normalize_inputs"])
     def test_pipeline_set_nn_fields_rejected(self, tmp_path, caplog, field):
         config_path, _ = _small_synth(tmp_path)
         _edit_config(config_path, "nn", **{field: 2})
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert f"nn.{field}: unknown field" in caplog.text
+
+    def test_synth_config_names_every_accepted_field(self, tmp_path):
+        """No hidden settings: a field the parser accepts is one synth writes."""
+        config_path, _ = _small_synth(tmp_path)
+        written = {(name, key) for name, section in json.loads(config_path.read_text()).items()
+                   if isinstance(section, dict) for key in section}
+        accepted = {(name, f.name) for name, cls in _SECTION_TYPES.items()
+                    for f in dataclasses.fields(cls)
+                    if f.name not in _FIXED_FIELDS.get(name, set())}
+        assert written == accepted
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["ingest", "--config", str(tmp_path / "nope.json")])
@@ -297,7 +320,10 @@ class TestBadSensors:
         assert "sensor_rows_dropped_subject" not in \
             json.loads((out_dir / "train_report.json").read_text())
         assert f"{{'s,99': {len(extra)}}}" in caplog.text
-        assert "s,99" not in cli._read_samples(out_dir).subject_set()
+        table = cli._read_samples(out_dir)
+        assert "s,99" not in table.keys[:, 0].tolist()
+        assert len(table.keys) == 48  # 4 subjects x 6 tasks x 2 trials, all with rows
+        assert np.array_equal(np.unique(table.codes), np.arange(48))
 
 
 class TestBadIngestArtifacts:
@@ -321,6 +347,19 @@ class TestBadIngestArtifacts:
                                     cut, "cluster")
         assert "expected 72 rows of 3 cells" in caplog.text
         assert not (out_dir / "pca_scores.csv").exists()
+
+    @staticmethod
+    def _latin_1_id(path):
+        path.write_bytes(path.read_text().replace("s01,", "s\xe901,", 1).encode("latin-1"))
+
+    @pytest.mark.parametrize("name, upstream, command", [
+        ("row_labels.csv", ["ingest"], "cluster"),
+        ("sensor_trials.csv", ["ingest", "cluster", "select"], "train"),
+    ], ids=["row-labels-at-cluster", "sensor-trials-at-train"])
+    def test_not_utf8_artifact_named(self, tmp_path, caplog, name, upstream, command):
+        out_dir = self._damage_then(tmp_path, caplog, upstream, name, self._latin_1_id,
+                                    command)
+        assert f"{out_dir / name}: not UTF-8 text" in caplog.text
 
     def test_select_rejects_header_only_row_labels(self, tmp_path, caplog):
         def header_only(path):
@@ -710,13 +749,13 @@ class TestOddIds:
         kept = {*odd.values(), "s04"}
         expected = loaded.subset(np.array([s in kept for s in loaded.subjects.tolist()]))
         table = cli._read_samples(out_dir)
-        for name in ("x", "y", "times", "codes"):
+        for name in ("x", "y", "times"):
             assert np.array_equal(getattr(table, name), getattr(expected, name)), name
             assert getattr(table, name).dtype == getattr(expected, name).dtype, name
         assert table.keys.dtype == object
-        assert table.keys.tolist() == expected.keys.tolist()
-        assert "s05\x00" in table.keys[:, 0].tolist()
-        assert "s05\x00" not in table.subject_set()
+        assert table.codes.dtype == np.int32
+        assert table.keys[table.codes].tolist() == expected.keys[expected.codes].tolist()
+        assert "s05\x00" not in table.keys[:, 0].tolist()
         folds = read_fold_results_csv(out_dir / "fold_results.csv")
         assert {f.left_out for f in folds} == kept
         assert {f.n_test for f in folds} == {480}

@@ -87,7 +87,7 @@ class TestKmeans:
         for _ in range(3):
             calls.clear()
             centers = points[rng.choice(200, 4, replace=False)].copy()
-            history = cluster._lloyd(points, centers, 300)[3]
+            history = cluster._lloyd(points, centers)[3]
             assert len(history) >= 2
             assert len(calls) == len(history) + 1
 

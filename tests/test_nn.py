@@ -60,20 +60,19 @@ class ReferenceAdam:
         self.t = 0
 
     def step(self, params, grads):
-        cfg = self.config
+        beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
         self.t += 1
-        bias1 = 1.0 - cfg.beta1**self.t
-        bias2 = 1.0 - cfg.beta2**self.t
+        bias1 = 1.0 - beta1**self.t
+        bias2 = 1.0 - beta2**self.t
         for k, g in grads.items():
             m = self.m[k]
             v = self.v[k]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g**2
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g**2
             p = params[k]
-            p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2)
-                                                    + cfg.adam_eps)
+            p -= self.config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
 def reference_epochs(config, x, y):
@@ -105,9 +104,8 @@ class TestForward:
 
     def test_reduces_to_plain_mlp_at_identity_batchnorm(self):
         # dropout 0, gamma=1, beta=0, running stats (0,1), zero biases:
-        # zero input must map to exactly zero output.
-        config = FcnnConfig(input_dim=3, hidden=(4, 4), dropout_rate=0.0,
-                            bn_eps=0.0, seed=1)
+        # zero input must map to exactly zero output (0 / sqrt(1 + eps) is 0).
+        config = FcnnConfig(input_dim=3, hidden=(4, 4), dropout_rate=0.0, seed=1)
         model = FcnnModel(config)
         for i in range(2):
             model.params[f"h{i}.b"][:] = 0.0
@@ -117,9 +115,9 @@ class TestForward:
 
     def test_train_mode_batch_statistics(self):
         # Post-batch-norm activations must have batch mean beta and
-        # biased variance gamma^2 (exactly, up to the eps term).
-        config = FcnnConfig(input_dim=5, hidden=(8,), dropout_rate=0.0,
-                            bn_eps=1e-12, seed=2)
+        # biased variance gamma^2 * v / (v + eps), v the batch variance of
+        # the linear output and eps batch norm's 1e-5.
+        config = FcnnConfig(input_dim=5, hidden=(8,), dropout_rate=0.0, seed=2)
         model = FcnnModel(config)
         rng = np.random.default_rng(5)
         model.params["h0.gamma"][:] = rng.uniform(0.5, 2.0, size=8)
@@ -130,8 +128,10 @@ class TestForward:
         bn_out = model.params["h0.gamma"] * zhat + model.params["h0.beta"]
         assert np.allclose(bn_out.mean(axis=0), model.params["h0.beta"],
                            atol=1e-6)
-        assert np.allclose(bn_out.var(axis=0), model.params["h0.gamma"] ** 2,
-                           atol=1e-6)
+        z = model._normalize(x) @ model.params["h0.W"] + model.params["h0.b"]
+        v = z.var(axis=0)
+        assert np.allclose(bn_out.var(axis=0),
+                           model.params["h0.gamma"] ** 2 * v / (v + 1e-5), atol=1e-6)
 
     def test_batch_variance_from_centred_values_is_exact(self):
         # The forward pass computes the variance from the already-centred
@@ -243,17 +243,19 @@ class TestGradients:
 
 class TestTraining:
     def test_linear_neuron_learns_slope_two(self):
-        # Noiseless y = 2x has least-squares optimum w = 2, b = 0.
+        # Noiseless y = 2x has least-squares optimum w = 2, b = 0 on the raw
+        # inputs; the network sees them z-scored, (x - mean) / std.
         config = FcnnConfig(input_dim=1, hidden=(), dropout_rate=0.0, learning_rate=0.05,
-                            batch_size=32, max_epochs=300, patience=300,
-                            seed=0, normalize_inputs=False)
+                            batch_size=32, max_epochs=300, patience=300, seed=0)
         model = FcnnModel(config)
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, size=(256, 1))
         y = 2.0 * x[:, 0]
         model, _ = train(model, (x[:200], y[:200]), (x[200:], y[200:]), config)
-        assert model.params["out.W"][0, 0] == pytest.approx(2.0, abs=1e-2)
-        assert model.params["out.b"][0] == pytest.approx(0.0, abs=1e-2)
+        slope = model.params["out.W"][0, 0] / model.input_std[0]
+        assert slope == pytest.approx(2.0, abs=1e-2)
+        assert model.params["out.b"][0] - slope * model.input_mean[0] == \
+            pytest.approx(0.0, abs=1e-2)
 
     def test_zero_gradients_leave_parameters_unchanged(self):
         config = FcnnConfig(input_dim=2, hidden=(3,), dropout_rate=0.2,
@@ -274,14 +276,13 @@ class TestTraining:
         # exact predictions, so validation loss rises every epoch.
         config = FcnnConfig(input_dim=1, hidden=(), dropout_rate=0.0,
                             learning_rate=0.05, batch_size=8, max_epochs=50,
-                            patience=1, seed=21, normalize_inputs=False)
-        probe = FcnnModel(config)
-        w0 = float(probe.params["out.W"][0, 0])
-        b0 = float(probe.params["out.b"][0])
+                            patience=1, seed=21)
         x_train = np.linspace(-1, 1, 16).reshape(-1, 1)
         y_train = -10.0 * x_train[:, 0]
+        probe = FcnnModel(config)
+        probe.input_mean, probe.input_std = x_train.mean(axis=0), x_train.std(axis=0)
         x_val = np.array([[-1.0], [1.0]])
-        y_val = np.array([-w0 + b0, w0 + b0])
+        y_val = probe.predict(x_val).reshape(-1)
 
         model, history = train(FcnnModel(config), (x_train, y_train),
                                (x_val, y_val), config)
@@ -386,8 +387,7 @@ class TestBatches:
         assert _batch_bounds(10, 64) == [(0, 10)]
 
 
-def _train_both(n, dropout, normalize, hidden, max_epochs, patience, seed,
-                fortran=False):
+def _train_both(n, dropout, hidden, max_epochs, patience, seed, fortran=False):
     """``train`` and the unfused oracle on the same noisy data; both results."""
     rng = np.random.default_rng(seed)
     x = rng.normal(rng.uniform(-3, 3), rng.uniform(0.5, 4), size=(n + 12, 4))
@@ -395,7 +395,7 @@ def _train_both(n, dropout, normalize, hidden, max_epochs, patience, seed,
     y = np.sin(x[:, 0]) + 0.5 * rng.normal(size=n + 12)
     config = FcnnConfig(input_dim=4, hidden=hidden, dropout_rate=dropout,
                         learning_rate=0.03, max_epochs=max_epochs,
-                        patience=patience, seed=seed, normalize_inputs=normalize)
+                        patience=patience, seed=seed)
     data = ((x[:n], y[:n]), (x[n:], y[n:]))
     return train(FcnnModel(config), *data, config), \
         train_unfused(FcnnModel(config), *data, config), x
@@ -407,17 +407,17 @@ class TestMatchesUnfusedOracle:
     @settings(max_examples=100, deadline=None)
     @given(n=st.one_of(st.integers(2, 63), st.integers(1, 3).map(lambda k: 64 * k + 1),
                        st.integers(64, 200)),
-           dropout=st.sampled_from([0.0, 0.2]), normalize=st.booleans(),
+           dropout=st.sampled_from([0.0, 0.2]),
            hidden=st.sampled_from([(6,), (7, 5, 4)]),
            max_epochs=st.integers(1, 12), patience=st.integers(1, 3),
            seed=st.integers(0, 2**16), fortran=st.booleans())
-    @example(n=65, dropout=0.2, normalize=True, hidden=(7, 5, 4), max_epochs=12,
-             patience=2, seed=1, fortran=False)
-    def test_train_and_predict_bit_equal(self, n, dropout, normalize, hidden,
-                                         max_epochs, patience, seed, fortran):
+    @example(n=65, dropout=0.2, hidden=(7, 5, 4), max_epochs=12, patience=2, seed=1,
+             fortran=False)
+    def test_train_and_predict_bit_equal(self, n, dropout, hidden, max_epochs, patience,
+                                         seed, fortran):
         patience = min(patience, max_epochs)
         ((model, history), (oracle, expected), x) = _train_both(
-            n, dropout, normalize, hidden, max_epochs, patience, seed, fortran)
+            n, dropout, hidden, max_epochs, patience, seed, fortran)
         assert model.flat.tobytes() == oracle.flat.tobytes()
         assert model.state.tobytes() == oracle.state.tobytes()
         assert model.input_mean.tobytes() == oracle.input_mean.tobytes()
@@ -427,7 +427,7 @@ class TestMatchesUnfusedOracle:
 
     def test_pinned_example_restores_a_non_final_epoch(self):
         # The @example above covers early stopping that rolls back epochs.
-        _, (_, history), _ = _train_both(65, 0.2, True, (7, 5, 4), 12, 2, 1)
+        _, (_, history), _ = _train_both(65, 0.2, (7, 5, 4), 12, 2, 1)
         assert history.stopped_early
         assert history.best_epoch < len(history.records)
 
@@ -473,8 +473,10 @@ class TestCheckpoint:
         lambda raw: raw.update({"input_mean": [0.0, 0.0]}),
         lambda raw: raw.pop("input_std"),
         lambda raw: raw["config"].update({"hidden": [4, 0]}),
+        lambda raw: raw["config"].update({"beta1": 0.9}),
     ], ids=["missing", "broadcastable", "transposed", "extra", "missing-buffer",
-            "non-numeric", "input-mean-length", "no-input-std", "bad-config"])
+            "non-numeric", "input-mean-length", "no-input-std", "bad-config",
+            "deleted-config-field"])
     def test_malformed_checkpoint_rejected(self, corrupt):
         raw = FcnnModel(FcnnConfig(input_dim=3, hidden=(4, 4), seed=9)).to_dict()
         corrupt(raw)

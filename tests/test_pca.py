@@ -23,7 +23,7 @@ class TestFit:
     def test_single_axis_variance(self):
         rows = np.tile([1.0, 2.0, 3.0, 4.0], (6, 1))
         rows[:, 3] = np.arange(6, dtype=float)
-        model = pca_fit(rows, standardize=True)
+        model = pca_fit(rows)
         axis = np.zeros(4)
         axis[3] = 1.0
         assert np.allclose(np.abs(model.components[0]), axis, atol=1e-12)
@@ -31,25 +31,30 @@ class TestFit:
         assert model.explained_variance_ratio[0] == pytest.approx(1.0)
 
     def test_diagonal_line_by_hand(self):
-        # Points on y = x centered at 0: covariance is s*[[1,1],[1,1]],
-        # whose eigenpairs are 2s with (1,1)/sqrt(2) and 0 with (1,-1)/sqrt(2).
+        # Points on y = x centered at 0 stay on y = x once both columns are
+        # divided by their standard deviation sqrt(2.5): covariance is
+        # s*[[1,1],[1,1]], whose eigenpairs are 2s with (1,1)/sqrt(2) and
+        # 0 with (1,-1)/sqrt(2).
         x = np.array([-2.0, -1.0, 1.0, 2.0])
         rows = np.column_stack([x, x])
-        model = pca_fit(rows, standardize=False)
+        model = pca_fit(rows)
+        assert np.allclose(model.scale, [np.sqrt(2.5)] * 2, atol=1e-12)
         assert np.allclose(model.components[0],
                            [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
         assert model.explained_variance_ratio[0] == pytest.approx(1.0)
 
     def test_scores_on_diagonal_line(self):
+        # The standardised point (x, x) / sqrt(2.5) projects onto
+        # (1,1)/sqrt(2) as sqrt(2) * x / sqrt(2.5) = sqrt(0.8) * x.
         x = np.array([-2.0, -1.0, 1.0, 2.0])
         rows = np.column_stack([x, x])
-        model = pca_fit(rows, standardize=False)
+        model = pca_fit(rows)
         scores = pca_transform(model, rows, 1)
-        assert np.allclose(scores[:, 0], np.sqrt(2) * x, atol=1e-12)
+        assert np.allclose(scores[:, 0], np.sqrt(0.8) * x, atol=1e-12)
 
     def test_zero_variance_column_scale(self):
         rows = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        model = pca_fit(rows, standardize=True)
+        model = pca_fit(rows)
         assert model.scale[1] == 1.0
 
     def test_needs_two_rows(self):
@@ -121,7 +126,7 @@ class TestInvariants:
 
     @staticmethod
     def _check_against_jacobi(rows):
-        model = pca_fit(rows, standardize=True)
+        model = pca_fit(rows)
         x = (rows - rows.mean(axis=0)) / model.scale
         cov = x.T @ x / (rows.shape[0] - 1)
         eigvals, _ = jacobi_eigh(cov)
