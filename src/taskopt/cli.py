@@ -347,19 +347,16 @@ def cmd_train(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
                 f"tasks for {n} kept subject(s); leave-one-subject-out needs >= 2")
     log.info("training %d condition(s) x %d subject(s), jobs=%d",
              len(selected), len(samples.subject_set()), jobs)
-    study = run_study(samples, selected, cfg.nn, seed=cfg.seed,
-                      val_fraction=cfg.study.val_fraction, jobs=jobs)
+    study = run_study(samples, selected, cfg.nn, seed=cfg.seed, jobs=jobs)
     for cond, subject, reason in study.skipped:
         log.warning("skipped fold (%s, %s): %s", cond, subject, reason)
 
     write_fold_results_csv(study.folds, tmp / FOLD_RESULTS)
-    (tmp / "histories").mkdir()
+    _write_csv(tmp / "histories.csv", ["condition", "subject", "epoch", "train_mse", "val_mse"],
+               ([cond, subject, r.epoch, repr(r.train_mse), repr(r.val_mse)]
+                for (cond, subject), history in study.histories.items()
+                for r in history.records))
     (tmp / "checkpoints").mkdir()
-    for (cond, subject), history in study.histories.items():
-        _write_csv(tmp / "histories" /
-                   f"history_{_safe_name(cond)}_{_safe_name(subject)}.csv",
-                   ["epoch", "train_mse", "val_mse"],
-                   ([r.epoch, repr(r.train_mse), repr(r.val_mse)] for r in history.records))
     for (cond, subject), checkpoint in study.checkpoints.items():
         _write_json(tmp / "checkpoints" /
                     f"model_{_safe_name(cond)}_{_safe_name(subject)}.json",
@@ -535,7 +532,7 @@ STAGES = {
                     ("paths.tasks",)),
     "train": Stage(cmd_train, "run the leave-one-subject-out study",
                    {CONDITIONS: "select", SENSOR_SAMPLES: "ingest", SENSOR_TRIALS: "ingest"},
-                   ("nn", "study.conditions", "study.val_fraction", "seed")),
+                   ("nn", "study.conditions", "seed")),
     "report": Stage(cmd_report, "summaries, statistics, and figures",
                     {FOLD_RESULTS: "train", SENSOR_SAMPLES: "ingest", SENSOR_TRIALS: "ingest"},
                     ("paths.tasks", "study.conditions")),
@@ -609,8 +606,13 @@ def run_stage(name: str, cfg: RunConfig, jobs: int = 1) -> None:
             parent.mkdir(parents=True, exist_ok=True)
         for artifact in artifacts:
             os.replace(tmp / artifact, out / artifact)
+        root = out.resolve()
         for path in _stale_files(out, commands.get(name), artifacts.keys()):
             path.unlink()
+            parent = path.resolve().parent
+            while parent != root and not any(parent.iterdir()):  # emptied by the unlink
+                parent.rmdir()
+                parent = parent.parent
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     _record(out, name, {

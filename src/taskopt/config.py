@@ -41,7 +41,6 @@ class ClusterSettings:
 class StudySettings:
     conditions: tuple[str, ...] = CONDITION_NAMES
     min_cyclic_trials: int = 1
-    val_fraction: float = 0.8
 
 
 @dataclass
@@ -80,8 +79,6 @@ class RunConfig:
                 )
         if self.study.min_cyclic_trials < 0:
             problems.append("study.min_cyclic_trials: must be >= 0")
-        if not (0.0 < self.study.val_fraction < 1.0):
-            problems.append("study.val_fraction: must be in (0, 1)")
         try:
             self.nn.validate()
         except ValueError as exc:

@@ -29,6 +29,8 @@ from .taskselect import TaskSet
 
 log = logging.getLogger("taskopt")
 
+_TRAIN_FRACTION = 0.8  # of each fold's pool trials; the rest validate
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -84,16 +86,16 @@ def loso_folds(samples: SampleTable) -> list[LosoFold]:
 
 
 def split_train_val(
-    pool: SampleTable, fraction: float = 0.8, seed: int = 0
+    pool: SampleTable, train_fraction: float = _TRAIN_FRACTION, seed: int = 0
 ) -> tuple[SampleTable, SampleTable]:
     """Seeded train/validation split at trial granularity.
 
     All samples of a trial land on the same side. Train size is
-    floor(fraction * n_trials); the validation side is never empty.
+    floor(train_fraction * n_trials); the validation side is never empty.
     The permutation indexes the pool's trials in sorted key order.
     """
-    if not (0.0 < fraction < 1.0):
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    if not (0.0 < train_fraction < 1.0):
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     trials = np.unique(pool.codes)  # codes rank the keys, so this is key order
     n_trials = trials.size
     if n_trials < 2:
@@ -102,7 +104,7 @@ def split_train_val(
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_trials)
-    n_train = int(math.floor(fraction * n_trials))
+    n_train = int(math.floor(train_fraction * n_trials))
     n_train = min(max(n_train, 1), n_trials - 1)
     mask = np.isin(pool.codes, trials[order[:n_train]])
     return pool.subset(mask), pool.subset(~mask)
@@ -153,8 +155,8 @@ def fcnn_trainer(train_xy, val_xy, config: FcnnConfig):
 
 # One (condition, left-out subject) fold: the condition's name and tasks,
 # the left-out subject's index into the sorted subjects, the fold seed,
-# the network config, the train fraction and the trainer.
-FoldJob = tuple[str, tuple[str, ...], int, int, FcnnConfig, float, Trainer]
+# the network config and the trainer.
+FoldJob = tuple[str, tuple[str, ...], int, int, FcnnConfig, Trainer]
 
 
 def _run_fold(samples: SampleTable, subjects: Sequence[str], job: FoldJob):
@@ -163,7 +165,7 @@ def _run_fold(samples: SampleTable, subjects: Sequence[str], job: FoldJob):
     Returns ("ok", (result, history, checkpoint)), or ("skipped", reason)
     when the fold's training pool has fewer than 2 trials.
     """
-    condition, task_set, index, fold_seed, nn_config, val_fraction, trainer = job
+    condition, task_set, index, fold_seed, nn_config, trainer = job
     left_out = subjects[index]
     held_out = samples.isin("subject", [left_out])
     test = samples.subset(held_out)
@@ -173,8 +175,7 @@ def _run_fold(samples: SampleTable, subjects: Sequence[str], job: FoldJob):
             f"condition {condition!r}: no training samples left after task filtering"
         )
     try:
-        train_tab, val_tab = split_train_val(pool, fraction=val_fraction,
-                                             seed=fold_seed)
+        train_tab, val_tab = split_train_val(pool, seed=fold_seed)
     except InsufficientTrialsError as exc:
         return "skipped", str(exc)
     del pool  # the split copied its rows: free them before training
@@ -273,7 +274,6 @@ def run_study(
     conditions: Mapping[str, TaskSet],
     nn_config: FcnnConfig,
     seed: int = 0,
-    val_fraction: float = 0.8,
     jobs: int = 1,
     trainer: Trainer = fcnn_trainer,
 ) -> StudyResult:
@@ -294,8 +294,7 @@ def run_study(
         raise ValueError("no conditions to run")
     subjects = _fold_subjects(samples)
     fold_jobs = [
-        (name, tuple(task_set.tasks), fold_index, seed ^ fold_index, nn_config,
-         val_fraction, trainer)
+        (name, tuple(task_set.tasks), fold_index, seed ^ fold_index, nn_config, trainer)
         for name, task_set in conditions.items()
         for fold_index in range(len(subjects))
     ]

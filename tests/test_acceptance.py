@@ -5,6 +5,7 @@ default synthetic dataset through the CLI.
 
 import contextlib
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -199,6 +200,51 @@ def test_end_to_end_rmse_ordering(synthetic_study):
         assert set(rmse) == {"all", "optimized", "cyclic"}
         assert rmse["optimized"] <= 0.95 * rmse["cyclic"], rmse
         assert rmse["optimized"] <= 1.15 * rmse["all"], rmse
+
+
+# The behaviour fingerprint: the default study's fold_results.csv. Its bytes
+# depend on the BLAS kernels, which this OpenBLAS build picks by CPU at run
+# time (DYNAMIC_ARCH), so it is compared only on the platform it was
+# recorded on.
+FOLD_RESULTS_SHA256 = "7aead9f18667d5038618f2e1ba3e5c2aaf22d443bbf9852675e6ca1b00ffb8e0"
+RECORDED_NUMPY = "2.4.6"
+RECORDED_OPENBLAS = ("OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+                     "Haswell MAX_THREADS=64")
+RECORDED_CPU_FEATURES = {
+    "AVX", "AVX2", "AVX512BF16", "AVX512BITALG", "AVX512BW", "AVX512CD", "AVX512DQ",
+    "AVX512F", "AVX512FP16", "AVX512IFMA", "AVX512VBMI", "AVX512VBMI2", "AVX512VL",
+    "AVX512VNNI", "AVX512VPOPCNTDQ", "AVX512_CLX", "AVX512_CNL", "AVX512_ICL",
+    "AVX512_SKX", "AVX512_SPR", "BMI", "BMI2", "CX16", "F16C", "FMA3", "GFNI", "LAHF",
+    "LZCNT", "MMX", "MOVBE", "POPCNT", "SSE", "SSE2", "SSE3", "SSE41", "SSE42", "SSSE3",
+    "VAES", "VPCLMULQDQ", "X86_V2", "X86_V3", "X86_V4",
+}
+
+
+def _platform_mismatch() -> str | None:
+    """How this platform differs from the one the fingerprint was recorded on."""
+    if np.__version__ != RECORDED_NUMPY:
+        return f"numpy {np.__version__}, recorded on {RECORDED_NUMPY}"
+    openblas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(
+        "openblas configuration")
+    if openblas != RECORDED_OPENBLAS:
+        return f"OpenBLAS configuration {openblas!r}, recorded on {RECORDED_OPENBLAS!r}"
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    features = {name for name, present in __cpu_features__.items() if present}
+    if features != RECORDED_CPU_FEATURES:
+        return (f"CPU features lack {sorted(RECORDED_CPU_FEATURES - features)} "
+                f"and add {sorted(features - RECORDED_CPU_FEATURES)}")
+    return None
+
+
+def test_end_to_end_fold_results_fingerprint(synthetic_study):
+    mismatch = _platform_mismatch()
+    if mismatch:
+        pytest.skip(f"fingerprint recorded on another platform: {mismatch}")
+    with criterion("end-to-end: fold_results.csv has the recorded sha256"):
+        out_dir, _ = synthetic_study
+        digest = hashlib.sha256((out_dir / "fold_results.csv").read_bytes()).hexdigest()
+        assert digest == FOLD_RESULTS_SHA256
 
 
 def test_real_dataset_mode():

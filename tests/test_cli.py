@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -44,6 +46,13 @@ def _checksums(out_dir, skip=("run_manifest.json",)):
             if path.is_file() and path.name not in skip}
 
 
+def _read_histories(out_dir):
+    """The header and the data rows of ``histories.csv``."""
+    with (out_dir / "histories.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
 def _edit_config(config_path, section, **fields):
     raw = json.loads(config_path.read_text())
     raw[section].update(fields)
@@ -69,15 +78,27 @@ class TestFullPipeline:
             "pca_model.json", "pca_selection.json", "pca_scores.csv",
             "pca_scatter.svg", "cluster_model.json", "silhouette_scan.csv",
             "task_weights.csv", "conditions.json", "fold_results.csv",
-            "train_report.json", "summary.csv", "stats.json",
+            "histories.csv", "train_report.json", "summary.csv", "stats.json",
             "rmse_bars.svg", "rmse_bars.csv", "r2_bars.svg", "r2_bars.csv",
             "run_manifest.json",
         ]
         for name in expected:
             assert (out_dir / name).exists(), name
         assert list((out_dir / "checkpoints").glob("model_*.json"))
-        assert list((out_dir / "histories").glob("history_*.csv"))
         assert list((out_dir / "traces").glob("trace_*.csv"))
+
+    def test_histories_table(self, pipeline):
+        """One row per epoch of each trained fold, in fold order, epochs 1..n without a gap."""
+        _, out_dir = pipeline
+        header, rows = _read_histories(out_dir)
+        assert header == ["condition", "subject", "epoch", "train_mse", "val_mse"]
+        folds = read_fold_results_csv(out_dir / "fold_results.csv")
+        groups = [(fold, [int(row[2]) for row in group])
+                  for fold, group in itertools.groupby(rows, key=lambda row: tuple(row[:2]))]
+        assert [fold for fold, _ in groups] == [(f.condition, f.left_out) for f in folds]
+        for fold, epochs in groups:
+            assert epochs == list(range(1, len(epochs) + 1)), fold
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[3:])
 
     def test_conditions_structure(self, pipeline):
         _, out_dir = pipeline
@@ -176,7 +197,8 @@ class TestConfigValidation:
         assert "standardise" in caplog.text
 
     @pytest.mark.parametrize("section, field", [("pca", "standardize"),
-                                                ("cluster", "max_iter")])
+                                                ("cluster", "max_iter"),
+                                                ("study", "val_fraction")])
     def test_fixed_method_settings_rejected(self, tmp_path, caplog, section, field):
         config_path, _ = _small_synth(tmp_path)
         _edit_config(config_path, section, **{field: 2})
@@ -302,6 +324,30 @@ class TestBadSensors:
 
         self._train_after(tmp_path, caplog, keep)
         assert "condition 'optimized'" in caplog.text
+
+    def test_skipped_fold_has_no_history_rows(self, tmp_path):
+        config_path, out_dir = _small_synth(tmp_path)
+        _edit_config(config_path, "nn", max_epochs=2, patience=2)
+        for command in ("ingest", "cluster", "select"):
+            assert main([command, "--config", str(config_path)]) == 0
+        conditions_path = out_dir / "conditions.json"
+        conditions = json.loads(conditions_path.read_text())
+        task = conditions["cyclic"]["tasks"][0]
+        conditions["cyclic"]["tasks"] = [task]
+        conditions_path.write_text(json.dumps(conditions))
+        # Of the task's trials only s01's and s02's first stay, so the
+        # cyclic fold leaving out either one has one trial to train on.
+        _rewrite_sensors(config_path, lambda row: row[1] != task
+                         or (row[0] in ("s01", "s02") and row[2] == "r01"))
+        for command in ("ingest", "train"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+        report = json.loads((out_dir / "train_report.json").read_text())
+        assert {(f["condition"], f["subject"]) for f in report["skipped_folds"]} == \
+            {("cyclic", "s01"), ("cyclic", "s02")}
+        trained = {(f.condition, f.left_out)
+                   for f in read_fold_results_csv(out_dir / "fold_results.csv")}
+        assert len(trained) == 10
+        assert {tuple(row[:2]) for row in _read_histories(out_dir)[1]} == trained
 
     def test_ingest_counts_rows_of_subjects_not_kept(self, tmp_path, caplog):
         caplog.set_level("INFO", logger="taskopt")
@@ -682,13 +728,30 @@ class TestStagedCommit:
             assert main([command, "--config", str(config_path)]) == 0
         left = {p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file()}
         assert not [name for name in left
-                    if name.startswith(("checkpoints/model_all_", "histories/history_all_",
-                                        "checkpoints/model_cyclic_",
-                                        "histories/history_cyclic_"))]
+                    if name.startswith(("checkpoints/model_all_", "checkpoints/model_cyclic_"))]
+        assert {row[0] for row in _read_histories(out_dir)[1]} == {"optimized"}
         assert not stale_trace.exists()
         commands = json.loads((out_dir / "run_manifest.json").read_text())["commands"]
         listed = {name for entry in commands.values() for name in entry["artifacts"]}
         assert left - {"run_manifest.json"} == listed
+
+    def test_rerun_removes_directories_it_empties(self, tmp_path):
+        """A run directory whose train entry lists per-fold history files, as
+        written before ``histories.csv``, keeps no empty ``histories/``."""
+        config_path, out_dir = _small_synth(tmp_path)
+        _edit_config(config_path, "nn", max_epochs=1, patience=1)
+        for command in ("ingest", "cluster", "select", "train"):
+            assert main([command, "--config", str(config_path)]) == 0
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        (out_dir / "histories").mkdir(exist_ok=True)
+        for name in ("histories/history_all_s01.csv", "histories/history_all_s02.csv"):
+            (out_dir / name).write_text("epoch,train_mse,val_mse\n")
+            manifest["commands"]["train"]["artifacts"][name] = "0"
+        (out_dir / "run_manifest.json").write_text(json.dumps(manifest))
+
+        assert main(["train", "--config", str(config_path)]) == 0
+        assert not (out_dir / "histories").exists()
+        assert list((out_dir / "checkpoints").glob("model_*.json"))
 
     def test_damaged_entry_deletes_nothing(self, tmp_path):
         out = tmp_path / "out"
@@ -759,6 +822,7 @@ class TestOddIds:
         folds = read_fold_results_csv(out_dir / "fold_results.csv")
         assert {f.left_out for f in folds} == kept
         assert {f.n_test for f in folds} == {480}
+        assert {row[1] for row in _read_histories(out_dir)[1]} == kept
 
         assert main(["report", "--config", str(config_path)]) == 0
         traces = list((out_dir / "traces").iterdir())

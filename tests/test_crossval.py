@@ -111,12 +111,12 @@ class TestSplitTrainVal:
         return make_samples(["a"], ["walk"], trials_per=n_trials, samples_per=3)
 
     def test_ten_trials_split_eight_two(self):
-        train, val = split_train_val(self._pool(10), fraction=0.8, seed=1)
+        train, val = split_train_val(self._pool(10), train_fraction=0.8, seed=1)
         assert len(trial_keys(train)) == 8
         assert len(trial_keys(val)) == 2
 
     def test_two_trials_split_one_one(self):
-        train, val = split_train_val(self._pool(2), fraction=0.8, seed=1)
+        train, val = split_train_val(self._pool(2), train_fraction=0.8, seed=1)
         assert len(trial_keys(train)) == 1
         assert len(trial_keys(val)) == 1
 
@@ -138,7 +138,7 @@ class TestSplitTrainVal:
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError, match="fraction"):
-            split_train_val(self._pool(4), fraction=1.0)
+            split_train_val(self._pool(4), train_fraction=1.0)
 
 
 class TestTrialCodes:
