@@ -7,6 +7,10 @@ scan), ``select`` (task scores and training conditions), ``train``
 figures). Each stage persists what the next one needs, so clustering
 results can be inspected before committing to training.
 
+This module owns the format of every artifact: ``_write_csv`` and
+``_write_json`` write them, and the ``_read_*`` helpers read them back,
+turning a damaged file into a ``DataFormatError`` that names it.
+
 ``STAGES`` names what each stage but ``synth`` reads; ``run_stage``
 refuses stale upstream records in ``run_manifest.json``, has the stage
 write into ``out/.tmp-<stage>/``, moves its files into place, and
@@ -41,13 +45,7 @@ import numpy as np
 
 from .cluster import ClusterModel, select_k
 from .config import PathSettings, RunConfig, default_config_dict, load_run_config
-from .crossval import (
-    aligned_fold_metric,
-    read_fold_results_csv,
-    run_study,
-    summarize_condition,
-    write_fold_results_csv,
-)
+from .crossval import FoldResult, aligned_fold_metric, run_study, summarize_condition
 from .dataset import (
     SENSOR_INPUT_DIM,
     SampleTable,
@@ -57,19 +55,14 @@ from .dataset import (
     load_profiles,
     load_sensor_samples,
 )
-from .errors import ConfigError, DataFormatError, MissingArtifactError, TaskOptError
+from .errors import (ConfigError, DataFormatError, MissingArtifactError, TaskOptError,
+                     TrainingDivergedError)
 from .nn import FcnnModel
 from .pca import pca_fit, pca_transform, select_components
 from .plots import bar_svg, scatter_svg
 from .stats import one_way_anova, pairwise_bonferroni
 from .synth import SynthSpec, generate
-from .taskselect import (
-    make_conditions,
-    read_conditions_json,
-    select_representatives,
-    task_weight_analysis,
-    write_conditions_json,
-)
+from .taskselect import TaskSet, make_conditions, select_representatives, task_weight_analysis
 
 log = logging.getLogger("taskopt")
 
@@ -82,6 +75,8 @@ CLUSTER_MODEL = "cluster_model.json"
 CONDITIONS = "conditions.json"
 FOLD_RESULTS = "fold_results.csv"
 RUN_MANIFEST = "run_manifest.json"
+FOLD_COLUMNS = ["condition", "left_out_subject", "rmse_nm_per_kg", "r2",
+                "n_train", "n_val", "n_test", "seed"]
 
 
 class _UsageError(Exception):
@@ -119,6 +114,19 @@ def _write_json(path: Path, payload, **options) -> None:
     path.write_text(json.dumps(payload, **options) + "\n", encoding="utf-8")
 
 
+def _fields(model) -> dict:
+    """A dataclass's fields as JSON values, arrays as nested lists."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in vars(model).items()}
+
+
+def _fold_row(fold: FoldResult) -> list:
+    """One ``fold_results.csv`` row; an R2 of None is an empty cell."""
+    return [fold.condition, fold.left_out, repr(fold.rmse),
+            "" if fold.r2 is None else repr(fold.r2),
+            fold.n_train, fold.n_val, fold.n_test, fold.seed]
+
+
 def _read_row_labels(path: Path, n_rows: int | None = None) -> list[tuple[str, str, str]]:
     """The (subject, task, trial) labels after the header; ``n_rows`` of them if given."""
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -143,6 +151,9 @@ def _read_feature_matrix(out: Path) -> tuple[np.ndarray, list[tuple[str, str, st
     if rows.ndim != 2 or rows.dtype.kind != "f":
         raise DataFormatError(f"{path}: expected a 2-D float array, "
                               f"got {rows.ndim}-D {rows.dtype}")
+    if not np.isfinite(rows).all():
+        row, column = np.argwhere(~np.isfinite(rows))[0]
+        raise DataFormatError(f"{path}: non-finite value in row {row}, column {column}")
     return rows, _read_row_labels(out / ROW_LABELS, rows.shape[0])
 
 
@@ -160,8 +171,85 @@ def _read_samples(out: Path) -> SampleTable:
             and x.dtype.kind == y.dtype.kind == times.dtype.kind == "f" and codes.dtype.kind == "i"
             and (n == 0 or 0 <= codes.min() <= codes.max() < len(keys))):
         raise DataFormatError(f"{path}: expected float x (n, {SENSOR_INPUT_DIM}), y and times "
-                              f"(n,), and int codes (n,) below the {len(keys)} trial keys")
+                              f"(n,), and int codes (n,) below the {len(keys)} trial keys "
+                              f"of {SENSOR_TRIALS}")
+    for name, values in (("x", x), ("y", y), ("times", times)):
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}: non-finite value in {name}")
     return SampleTable(x=x, y=y, times=times, codes=codes, keys=keys)
+
+
+def _read_cluster_model(path: Path) -> ClusterModel:
+    """The partition ``cmd_cluster`` wrote; its assignments a list of integers."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        model = ClusterModel(
+            k=int(raw["k"]),
+            centroids=np.array(raw["centroids"], dtype=float),
+            assignments=np.array(raw["assignments"], dtype=int),
+            inertia=float(raw["inertia"]),
+            silhouette=None if raw["silhouette"] is None else float(raw["silhouette"]),
+            inertia_history=[float(v) for v in raw["inertia_history"]],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: not a cluster model ({exc!r})") from exc
+    # The conversion above truncates 0.7 to 0 and parses "1".
+    if not (isinstance(raw["assignments"], list)
+            and all(type(a) is int for a in raw["assignments"])):
+        raise DataFormatError(f"{path}: assignments is not a list of cluster ids")
+    return model
+
+
+def _read_conditions(path: Path) -> dict[str, TaskSet]:
+    """The conditions ``cmd_select`` wrote; DataFormatError if it is not JSON
+    or not ``{name: {"tasks": [task, ...], "source": text}}``."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(raw, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("source"), str)
+            and isinstance(entry.get("tasks"), list)
+            and all(isinstance(task, str) for task in entry["tasks"])
+            for entry in raw.values()):
+        raise DataFormatError(f'{path}: expected {{name: {{"tasks": [task, ...], '
+                              f'"source": text}}}}')
+    return {name: TaskSet(name, tuple(entry["tasks"]), entry["source"])
+            for name, entry in raw.items()}
+
+
+def _read_fold_results(path: Path) -> list[FoldResult]:
+    """The folds ``cmd_train`` wrote; every RMSE and R2 finite, an empty R2 cell None."""
+    folds = []
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            for row in reader:
+                fold = FoldResult(
+                    condition=row["condition"],
+                    left_out=row["left_out_subject"],
+                    rmse=float(row["rmse_nm_per_kg"]),
+                    r2=float(row["r2"]) if row["r2"] else None,
+                    n_train=int(row["n_train"]),
+                    n_val=int(row["n_val"]),
+                    n_test=int(row["n_test"]),
+                    seed=int(row["seed"]),
+                )
+                if not (math.isfinite(fold.rmse) and math.isfinite(fold.r2 or 0.0)):
+                    raise ValueError("non-finite rmse_nm_per_kg or r2")
+                folds.append(fold)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(
+                f"{path}: line {reader.line_num}: not a fold result ({exc!r})") from exc
+    return folds
+
+
+def _read_checkpoint(path: Path) -> FcnnModel:
+    """A network ``cmd_train`` wrote, in the layout of ``FcnnModel.to_dict``."""
+    try:
+        return FcnnModel.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, DataFormatError) as exc:  # bad JSON or UTF-8, or a bad layout
+        raise DataFormatError(f"{path}: not a valid checkpoint: {exc}") from exc
 
 
 def _read_manifest(out: Path) -> dict:
@@ -279,12 +367,13 @@ def cmd_cluster(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     log.info("silhouette scan picked K=%d (silhouette %.4f)",
              scan.best_k, scan.model.silhouette)
 
-    model.to_json(tmp / "pca_model.json")
+    _write_json(tmp / "pca_model.json", _fields(model), indent=None)
     _write_json(tmp / "pca_selection.json",
                 {"n_components": p_star, "cumulative_variance": cumulative,
                  "best_k": scan.best_k, "silhouette": scan.model.silhouette})
-    scan.model.to_json(tmp / CLUSTER_MODEL)
-    scan.write_csv(tmp / "silhouette_scan.csv")
+    _write_json(tmp / CLUSTER_MODEL, _fields(scan.model), indent=None)
+    _write_csv(tmp / "silhouette_scan.csv", ["k", "silhouette"],
+               ([k, repr(float(s))] for k, s in scan.table))
 
     _write_csv(
         tmp / "pca_scores.csv",
@@ -304,7 +393,7 @@ def cmd_cluster(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
 
 
 def cmd_select(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
-    cluster_model = ClusterModel.from_json(out / CLUSTER_MODEL)
+    cluster_model = _read_cluster_model(out / CLUSTER_MODEL)
     labels = _read_row_labels(out / ROW_LABELS, len(cluster_model.assignments))
     manifest = TaskManifest.from_json(cfg.paths.tasks)
     weights = manifest.weights()
@@ -326,13 +415,14 @@ def cmd_select(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
                ["cluster", "task", "a_over_b", "a_over_c", "s_over_total", "w", "r"],
                ([r.cluster, r.task, *map(repr, (r.a_over_b, r.a_over_c, r.s_over_total,
                                                 r.w, r.r))] for r in rows))
-    write_conditions_json(conditions, tmp / CONDITIONS)
+    _write_json(tmp / CONDITIONS, {name: {"tasks": list(ts.tasks), "source": ts.source}
+                                   for name, ts in conditions.items()})
     return {"rows": len(labels)}
 
 
 def cmd_train(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     conditions_path = out / CONDITIONS
-    conditions = read_conditions_json(conditions_path)
+    conditions = _read_conditions(conditions_path)
     missing = [name for name in cfg.study.conditions if name not in conditions]
     if missing:
         raise DataFormatError(f"{conditions_path}: no condition(s) {missing}")
@@ -351,7 +441,7 @@ def cmd_train(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
     for cond, subject, reason in study.skipped:
         log.warning("skipped fold (%s, %s): %s", cond, subject, reason)
 
-    write_fold_results_csv(study.folds, tmp / FOLD_RESULTS)
+    _write_csv(tmp / FOLD_RESULTS, FOLD_COLUMNS, map(_fold_row, study.folds))
     _write_csv(tmp / "histories.csv", ["condition", "subject", "epoch", "train_mse", "val_mse"],
                ([cond, subject, r.epoch, repr(r.train_mse), repr(r.val_mse)]
                 for (cond, subject), history in study.histories.items()
@@ -441,7 +531,14 @@ def _write_traces(out: Path, tmp: Path, folds, present, manifest) -> None:
 
     samples = _read_samples(out)
     samples = samples.subset(samples.isin("subject", [subject]))
+    if not samples.n:
+        raise DataFormatError(f"{out / FOLD_RESULTS}: left-out subject {subject!r} "
+                              f"has no rows in {SENSOR_SAMPLES}")
     tasks = sorted(set(samples.tasks))
+    unknown = [t for t in tasks if t not in manifest]
+    if unknown:
+        raise DataFormatError(f"{out / SENSOR_TRIALS}: task(s) {unknown} are not in the "
+                              "task manifest")
     cyclic = [t for t in tasks if manifest.is_cyclic(t)]
     non_cyclic = [t for t in tasks if not manifest.is_cyclic(t)]
     chosen = cyclic[:2] + non_cyclic[:2]
@@ -454,17 +551,23 @@ def _write_traces(out: Path, tmp: Path, folds, present, manifest) -> None:
             f"model_{_safe_name(cond)}_{_safe_name(subject)}.json"
         if not path.exists():
             raise _missing(path, "train")
-        model = models[cond] = FcnnModel.load(path)
+        model = _read_checkpoint(path)
         if model.config.input_dim != samples.x.shape[1]:
             raise DataFormatError(f"{path}: input_dim {model.config.input_dim} "
                                   f"!= {samples.x.shape[1]} sensor columns")
+        models[cond] = path, model
 
     (tmp / "traces").mkdir()
     for task in chosen:
         in_task = samples.isin("task", [task])
         first_trial = min(samples.trials[in_task])
         trial = samples.subset(in_task & samples.isin("trial", [first_trial]))
-        preds = [m.predict(trial.x).reshape(-1) for m in models.values()]
+        preds = []
+        for path, model in models.values():
+            try:
+                preds.append(model.predict(trial.x).reshape(-1))
+            except TrainingDivergedError as exc:  # say, a zero in input_std
+                raise DataFormatError(f"{path}: {exc}") from exc
         _write_csv(tmp / "traces" / f"trace_{_safe_name(task)}.csv",
                    ["time_s", "truth"] + [f"pred_{c}" for c in models],
                    ([repr(float(v)) for v in cells]
@@ -473,7 +576,7 @@ def _write_traces(out: Path, tmp: Path, folds, present, manifest) -> None:
 
 
 def cmd_report(cfg: RunConfig, out: Path, tmp: Path, jobs: int) -> dict:
-    folds = read_fold_results_csv(out / FOLD_RESULTS)
+    folds = _read_fold_results(out / FOLD_RESULTS)
     if not folds:
         raise TaskOptError("fold_results.csv contains no folds")
     manifest = TaskManifest.from_json(cfg.paths.tasks)

@@ -9,14 +9,10 @@ farthest from its assigned centroid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import DataFormatError
 
 
 @dataclass
@@ -29,36 +25,6 @@ class ClusterModel:
     inertia: float
     silhouette: float | None
     inertia_history: list[float] = field(default_factory=list)
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "k": self.k,
-            "centroids": self.centroids.tolist(),
-            "assignments": self.assignments.tolist(),
-            "inertia": self.inertia,
-            "silhouette": self.silhouette,
-            "inertia_history": self.inertia_history,
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n",
-                              encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ClusterModel":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-            model = cls(
-                k=int(raw["k"]),
-                centroids=np.array(raw["centroids"], dtype=float),
-                assignments=np.array(raw["assignments"], dtype=int),
-                inertia=float(raw["inertia"]),
-                silhouette=None if raw["silhouette"] is None else float(raw["silhouette"]),
-                inertia_history=[float(v) for v in raw["inertia_history"]],
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: not a cluster model ({exc!r})") from exc
-        if model.assignments.ndim != 1:
-            raise DataFormatError(f"{path}: assignments is not a list of cluster ids")
-        return model
 
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -234,11 +200,6 @@ class KScanResult:
     best_k: int
     model: ClusterModel
     table: list[tuple[int, float]]  # (k, silhouette)
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = ["k,silhouette"]
-        lines += [f"{k},{float(s)!r}" for k, s in self.table]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def select_k(

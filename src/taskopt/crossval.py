@@ -8,7 +8,6 @@ left-out subject's full task set so conditions stay comparable.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import multiprocessing
@@ -17,13 +16,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import SampleTable
-from .errors import DataFormatError, InsufficientTrialsError
+from .errors import InsufficientTrialsError
 from .nn import FcnnConfig, FcnnModel, TrainHistory, train
 from .taskselect import TaskSet
 
@@ -375,35 +373,3 @@ def aligned_fold_metric(
         for name in condition_names
     }
     return common, vectors
-
-
-def write_fold_results_csv(folds: Sequence[FoldResult], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["condition", "left_out_subject", "rmse_nm_per_kg", "r2",
-                         "n_train", "n_val", "n_test", "seed"])
-        for f in folds:
-            writer.writerow([
-                f.condition, f.left_out, repr(f.rmse),
-                "" if f.r2 is None else repr(f.r2),
-                f.n_train, f.n_val, f.n_test, f.seed,
-            ])
-
-
-def read_fold_results_csv(path: str | Path) -> list[FoldResult]:
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            return [FoldResult(
-                condition=row["condition"],
-                left_out=row["left_out_subject"],
-                rmse=float(row["rmse_nm_per_kg"]),
-                r2=float(row["r2"]) if row["r2"] else None,
-                n_train=int(row["n_train"]),
-                n_val=int(row["n_val"]),
-                n_test=int(row["n_test"]),
-                seed=int(row["seed"]),
-            ) for row in reader]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(
-                f"{path}: line {reader.line_num}: not a fold result ({exc!r})") from exc

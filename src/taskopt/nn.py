@@ -8,10 +8,8 @@ numpy arrays, which keeps training bit-reproducible for a given seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 from types import MappingProxyType
 from typing import Sequence
 
@@ -204,14 +202,9 @@ class FcnnModel:
         dim = (model.config.input_dim,)
         model.input_mean = _exact_array(raw.get("input_mean"), dim, "input_mean")
         model.input_std = _exact_array(raw.get("input_std"), dim, "input_std")
+        if not (model.input_std > 0.0).all():  # train sets a zero spread to 1
+            raise DataFormatError("input_std has a value that is not positive")
         return model
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FcnnModel":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, DataFormatError) as exc:
-            raise DataFormatError(f"{path}: not a valid checkpoint: {exc}") from exc
 
 
 def _views(vec: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:

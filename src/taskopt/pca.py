@@ -11,9 +11,7 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,28 +32,6 @@ class PcaModel:
     @property
     def d(self) -> int:
         return self.components.shape[1]
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n",
-                              encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "PcaModel":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            mean=np.array(raw["mean"], dtype=float),
-            scale=np.array(raw["scale"], dtype=float),
-            components=np.array(raw["components"], dtype=float),
-            explained_variance_ratio=np.array(
-                raw["explained_variance_ratio"], dtype=float
-            ),
-        )
 
 
 def _as_array(matrix: np.ndarray) -> np.ndarray:

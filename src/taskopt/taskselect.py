@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import TaskManifest
-from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
@@ -162,33 +160,4 @@ def make_conditions(
             + json.dumps({str(k): v for k, v in sorted(representatives.items())}),
         ),
         "cyclic": TaskSet("cyclic", cyclic, "every task flagged cyclic"),
-    }
-
-
-def write_conditions_json(conditions: Mapping[str, TaskSet], path: str | Path) -> None:
-    payload = {
-        name: {"tasks": list(ts.tasks), "source": ts.source}
-        for name, ts in conditions.items()
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def read_conditions_json(path: str | Path) -> dict[str, TaskSet]:
-    """The conditions ``write_conditions_json`` wrote; DataFormatError if it
-    is not JSON or not ``{name: {"tasks": [task, ...], "source": text}}``."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: not a JSON file ({exc})") from exc
-    if not isinstance(raw, dict) or not all(
-            isinstance(entry, dict) and isinstance(entry.get("source"), str)
-            and isinstance(entry.get("tasks"), list)
-            and all(isinstance(task, str) for task in entry["tasks"])
-            for entry in raw.values()):
-        raise DataFormatError(f'{path}: expected {{name: {{"tasks": [task, ...], '
-                              f'"source": text}}}}')
-    return {
-        name: TaskSet(name, tuple(entry["tasks"]), entry["source"])
-        for name, entry in raw.items()
     }

@@ -182,10 +182,9 @@ def test_end_to_end_one_representative_per_cluster(synthetic_study):
         assert clusters == set(range(8))
 
         # recovered row partition agrees with the planted task map
-        from taskopt.cli import _read_row_labels
-        from taskopt.cluster import ClusterModel
+        from taskopt.cli import _read_cluster_model, _read_row_labels
 
-        model = ClusterModel.from_json(out_dir / "cluster_model.json")
+        model = _read_cluster_model(out_dir / "cluster_model.json")
         labels = _read_row_labels(out_dir / "row_labels.csv", len(model.assignments))
         planted = [ground_truth["task_clusters"][t] for _, t, _ in labels]
         assert adjusted_rand_index(planted, model.assignments) >= 0.9

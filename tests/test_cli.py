@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from taskopt import cli
-from taskopt.cli import _read_row_labels, _safe_name, _stats_payload, main
+from taskopt.cli import (_read_checkpoint, _read_fold_results, _read_row_labels, _safe_name,
+                         _stats_payload, main)
 from taskopt.config import _FIXED_FIELDS, _SECTION_TYPES
-from taskopt.crossval import FoldResult, read_fold_results_csv
+from taskopt.crossval import FoldResult
 from taskopt.dataset import TaskManifest, load_sensor_samples
 from taskopt.nn import FcnnModel
 
@@ -92,7 +93,7 @@ class TestFullPipeline:
         _, out_dir = pipeline
         header, rows = _read_histories(out_dir)
         assert header == ["condition", "subject", "epoch", "train_mse", "val_mse"]
-        folds = read_fold_results_csv(out_dir / "fold_results.csv")
+        folds = _read_fold_results(out_dir / "fold_results.csv")
         groups = [(fold, [int(row[2]) for row in group])
                   for fold, group in itertools.groupby(rows, key=lambda row: tuple(row[:2]))]
         assert [fold for fold, _ in groups] == [(f.condition, f.left_out) for f in folds]
@@ -279,12 +280,32 @@ class TestMalformedCheckpoint:
         paths = sorted((out_dir / "checkpoints").glob("model_optimized_*.json"))
         assert paths
         for path in paths:
-            config = FcnnModel.load(path).config
+            config = _read_checkpoint(path).config
             wrong = FcnnModel(dataclasses.replace(config, input_dim=13))
             path.write_text(json.dumps(wrong.to_dict()))
         assert main(["report", "--config", str(config_path)]) == 2
         assert "unexpected failure" not in caplog.text
         assert "input_dim 13" in caplog.text
+        assert "checkpoints" in caplog.text and "model_optimized_" in caplog.text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["input_std"].__setitem__(0, 0.0),
+         "not a valid checkpoint: input_std has a value that is not positive"),
+        (lambda raw: raw["params"]["out.b"].__setitem__(0, math.nan),
+         "non-finite activations in forward pass"),
+    ], ids=["zero-input-std", "nan-bias"])
+    def test_report_names_checkpoint_that_predicts_nan(self, tmp_path, caplog, edit,
+                                                        message):
+        config_path, out_dir = _small_synth(tmp_path)
+        for command in ("ingest", "cluster", "select", "train"):
+            assert main([command, "--config", str(config_path)]) == 0
+        for path in (out_dir / "checkpoints").glob("model_optimized_*.json"):
+            raw = json.loads(path.read_text())
+            edit(raw)
+            path.write_text(json.dumps(raw))
+        assert main(["report", "--config", str(config_path)]) == 2
+        assert "unexpected failure" not in caplog.text
+        assert message in caplog.text
         assert "checkpoints" in caplog.text and "model_optimized_" in caplog.text
 
 
@@ -345,7 +366,7 @@ class TestBadSensors:
         assert {(f["condition"], f["subject"]) for f in report["skipped_folds"]} == \
             {("cyclic", "s01"), ("cyclic", "s02")}
         trained = {(f.condition, f.left_out)
-                   for f in read_fold_results_csv(out_dir / "fold_results.csv")}
+                   for f in _read_fold_results(out_dir / "fold_results.csv")}
         assert len(trained) == 10
         assert {tuple(row[:2]) for row in _read_histories(out_dir)[1]} == trained
 
@@ -436,6 +457,17 @@ class TestBadIngestArtifacts:
                           replace, "cluster")
         assert message in caplog.text
 
+    def test_cluster_rejects_nan_in_matrix(self, tmp_path, caplog):
+        def nan_cell(path):
+            rows = np.load(path)
+            rows[5, 7] = np.nan
+            np.save(path, rows)
+
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest"], "feature_matrix.npy",
+                                    nan_cell, "cluster")
+        assert "non-finite value in row 5, column 7" in caplog.text
+        assert not (out_dir / "pca_scores.csv").exists()
+
 
     @pytest.mark.parametrize("name, content, message", [
         ("conditions.json", "{not json", "not a JSON file"),
@@ -486,8 +518,14 @@ class TestBadIngestArtifacts:
         ("sensor_samples.npz", _edit_archive(lambda arrays: arrays["codes"].__setitem__(
             -1, 10_000)), "below the 48 trial keys"),
         ("sensor_trials.csv", _cut_a_cell, "expected 48 rows of 3 cells"),
+        ("sensor_samples.npz", _edit_archive(lambda arrays: arrays["x"].__setitem__(
+            (3, 2), np.nan)), "non-finite value in x"),
+        ("sensor_samples.npz", _edit_archive(lambda arrays: arrays["y"].__setitem__(
+            3, np.nan)), "non-finite value in y"),
+        ("sensor_samples.npz", _edit_archive(lambda arrays: arrays["times"].__setitem__(
+            3, np.inf)), "non-finite value in times"),
     ], ids=["npy-file", "text", "no-codes", "x-13-columns", "code-past-keys",
-            "trials-2-cells"])
+            "trials-2-cells", "nan-x", "nan-y", "inf-times"])
     def test_train_rejects_bad_sensor_table(self, tmp_path, caplog, name, damage, message):
         out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster", "select"],
                                     name, damage, "train")
@@ -518,6 +556,18 @@ class TestBadIngestArtifacts:
         assert message in caplog.text
         assert not (out_dir / "conditions.json").exists()
 
+    @pytest.mark.parametrize("value", [0.7, "1"], ids=["fractional", "string"])
+    def test_select_rejects_assignment_that_is_not_an_integer(self, tmp_path, caplog, value):
+        def edit(path):
+            raw = json.loads(path.read_text())
+            raw["assignments"][0] = value
+            path.write_text(json.dumps(raw))
+
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster"],
+                                    "cluster_model.json", edit, "select")
+        assert "assignments is not a list of cluster ids" in caplog.text
+        assert not (out_dir / "conditions.json").exists()
+
     @staticmethod
     def _edit_fold_results(edit):
         def damage(path):
@@ -533,7 +583,14 @@ class TestBadIngestArtifacts:
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [row.pop("r2") for row in rows], "not a fold result (KeyError('r2')"),
         (lambda rows: rows[1].update(n_train="abc"), "line 3: not a fold result (ValueError"),
-    ], ids=["missing-column", "text-in-number-cell"])
+        (lambda rows: rows[1].update(rmse_nm_per_kg="nan"),
+         "line 3: not a fold result (ValueError('non-finite rmse_nm_per_kg or r2')"),
+        (lambda rows: rows[2].update(r2="-inf"),
+         "line 4: not a fold result (ValueError('non-finite rmse_nm_per_kg or r2')"),
+        (lambda rows: [row.update(left_out_subject="s99") for row in rows],
+         "left-out subject 's99' has no rows in sensor_samples.npz"),
+    ], ids=["missing-column", "text-in-number-cell", "nan-rmse", "inf-r2",
+            "unknown-subject"])
     def test_report_rejects_bad_fold_results(self, tmp_path, caplog, edit, message):
         out_dir = self._damage_then(tmp_path, caplog,
                                     ["ingest", "cluster", "select", "train"],
@@ -541,6 +598,23 @@ class TestBadIngestArtifacts:
                                     "report")
         assert message in caplog.text
         assert not (out_dir / "summary.csv").exists()
+
+    def test_report_names_sensor_task_missing_from_manifest(self, tmp_path, caplog):
+        def rename(path):
+            path.write_text(path.read_text().replace(",task01,", ",task99,"))
+
+        out_dir = self._damage_then(tmp_path, caplog, ["ingest", "cluster", "select", "train"],
+                                    "sensor_trials.csv", rename, "report")
+        assert "task(s) ['task99'] are not in the task manifest" in caplog.text
+        assert not (out_dir / "summary.csv").exists()
+
+    def test_report_reads_empty_r2_as_none(self, tmp_path):
+        config_path, out_dir = _small_synth(tmp_path)
+        for stage in ("ingest", "cluster", "select", "train"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        self._edit_fold_results(lambda rows: rows[0].update(r2=""))(out_dir / "fold_results.csv")
+        assert _read_fold_results(out_dir / "fold_results.csv")[0].r2 is None
+        assert main(["report", "--config", str(config_path)]) == 0
 
     def test_report_names_missing_checkpoint(self, tmp_path, caplog):
         out_dir = self._damage_then(tmp_path, caplog,
@@ -819,7 +893,7 @@ class TestOddIds:
         assert table.codes.dtype == np.int32
         assert table.keys[table.codes].tolist() == expected.keys[expected.codes].tolist()
         assert "s05\x00" not in table.keys[:, 0].tolist()
-        folds = read_fold_results_csv(out_dir / "fold_results.csv")
+        folds = _read_fold_results(out_dir / "fold_results.csv")
         assert {f.left_out for f in folds} == kept
         assert {f.n_test for f in folds} == {480}
         assert {row[1] for row in _read_histories(out_dir)[1]} == kept

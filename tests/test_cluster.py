@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_min_inertia, silhouette_by_hand
 from taskopt import cluster
+from taskopt.cli import _fields, _read_cluster_model, _write_csv, _write_json
 from taskopt.cluster import (
-    ClusterModel,
     adjusted_rand_index,
     kmeans,
     select_k,
@@ -243,7 +243,8 @@ class TestSelectK:
         rng = np.random.default_rng(31)
         points, _ = _blobs(rng, [np.zeros(2), np.full(2, 9.0)], 0.4, 6)
         scan = select_k(points, range(2, 5), seed=1)
-        scan.write_csv(tmp_path / "scan.csv")
+        _write_csv(tmp_path / "scan.csv", ["k", "silhouette"],
+                   ([k, repr(float(s))] for k, s in scan.table))
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert lines[0] == "k,silhouette"
         assert len(lines) == 4
@@ -293,8 +294,8 @@ class TestSerialization:
         rng = np.random.default_rng(41)
         points = rng.normal(size=(12, 2))
         model = kmeans(points, 3, seed=1)
-        model.to_json(tmp_path / "cluster.json")
-        back = ClusterModel.from_json(tmp_path / "cluster.json")
+        _write_json(tmp_path / "cluster.json", _fields(model), indent=None)
+        back = _read_cluster_model(tmp_path / "cluster.json")
         assert back.k == model.k
         assert np.array_equal(back.assignments, model.assignments)
         assert np.array_equal(back.centroids, model.centroids)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import table_from_ids
 from taskopt import crossval
+from taskopt.cli import FOLD_COLUMNS, _fold_row, _read_fold_results, _write_csv
 from taskopt.crossval import (
     aligned_fold_metric,
     fcnn_trainer,
@@ -17,8 +18,6 @@ from taskopt.crossval import (
     run_study,
     split_train_val,
     summarize_condition,
-    write_fold_results_csv,
-    read_fold_results_csv,
 )
 from taskopt.errors import InsufficientTrialsError
 from taskopt.nn import FcnnConfig
@@ -411,6 +410,6 @@ class TestFoldResultsCsv:
         study = run_study(samples, {"all": TaskSet("all", ("walk",), "t")},
                           FcnnConfig(), seed=0, trainer=oracle_trainer)
         path = tmp_path / "folds.csv"
-        write_fold_results_csv(study.folds, path)
-        back = read_fold_results_csv(path)
+        _write_csv(path, FOLD_COLUMNS, map(_fold_row, study.folds))
+        back = _read_fold_results(path)
         assert back == study.folds

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import make_batches, predict_unfused, train_unfused
+from taskopt.cli import _read_checkpoint
 from taskopt.errors import DataFormatError, TrainingDivergedError
 from taskopt.nn import (
     FcnnConfig,
@@ -444,7 +445,7 @@ class TestCheckpoint:
         # The checkpoint as ``taskopt train`` writes it.
         (tmp_path / "model.json").write_text(
             json.dumps(model.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
-        back = FcnnModel.load(tmp_path / "model.json")
+        back = _read_checkpoint(tmp_path / "model.json")
         assert np.array_equal(back.predict(x), model.predict(x))
         for key in model.params:
             assert back.params[key].tobytes() == model.params[key].tobytes()
@@ -487,7 +488,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(DataFormatError, match="model.json"):
-            FcnnModel.load(path)
+            _read_checkpoint(path)
 
 
 class TestConfig:

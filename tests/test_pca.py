@@ -178,15 +178,3 @@ class TestTransform:
         model = pca_fit(_random_matrix(1, 6, 4))
         with pytest.raises(ValueError, match="out of range"):
             pca_transform(model, np.ones((2, 4)), p=99)
-
-
-class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
-        model = pca_fit(_random_matrix(21, 7, 5))
-        model.to_json(tmp_path / "pca.json")
-        back = PcaModel.from_json(tmp_path / "pca.json")
-        assert np.array_equal(back.mean, model.mean)
-        assert np.array_equal(back.scale, model.scale)
-        assert np.array_equal(back.components, model.components)
-        assert np.array_equal(back.explained_variance_ratio,
-                              model.explained_variance_ratio)
